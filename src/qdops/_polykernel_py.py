@@ -1,8 +1,8 @@
-"""Dense integer-coefficient polynomial arithmetic (pure-Python backend).
+"""Dense integer-coefficient polynomial arithmetic.
 
 A polynomial is a list of Python ints, index = exponent, no trailing zeros;
 the zero polynomial is the empty list.  These routines are the hot kernel
-under the exact scalar type; `qdops._polykernel` is the compiled twin.
+under the exact scalar type, re-exported by `qdops.kernel`.
 """
 
 from math import gcd

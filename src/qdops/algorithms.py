@@ -16,11 +16,12 @@ from .opexpr import (
     EDiv,
     EGen,
     EMul,
-    ENeg,
     ENum,
     EPow,
     ESub,
     OperatorExpr,
+    _Algebra,
+    _fold,
     evaluate,
 )
 from .opsym import GradedOperator, equals, generator, twisted_bracket
@@ -121,56 +122,71 @@ def verify_integration(word, b, Q=None, domain=POLY_X):
     return Q, equals(lhs, rhs)
 
 
-def word_expansion(e):
-    """Expand an x-free, twist-free expression into {D-word: coefficient},
-    words in product order (leftmost factor first)."""
-    if isinstance(e, ENum):
+def _wsum(a, b, negate_b):
+    out = dict(a)
+    for w, c in b.items():
+        c = -c if negate_b else c
+        out[w] = out[w] + c if w in out else c
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+def _wprod(a, b):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            c = c1 * c2
+            out[w] = out[w] + c if w in out else c
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+class _WordExpansion(_Algebra):
+    """Values: {D-word: coefficient}, words in product order."""
+
+    target = "word expansion"
+
+    def num(self, e):
         return {(): e.value}
-    if isinstance(e, EGen):
+
+    def gen(self, e):
         if e.name == "D":
             return {(int(e.arg),): ExactScalar.from_int(1)}
         raise EngineError(f"word expansion met leaf {e.name!r}")
-    if isinstance(e, EAdd) or isinstance(e, ESub):
-        a = word_expansion(e.a)
-        b = word_expansion(e.b)
-        out = dict(a)
-        for w, c in b.items():
-            c = -c if isinstance(e, ESub) else c
-            out[w] = out[w] + c if w in out else c
-        return {w: c for w, c in out.items() if not c.is_zero()}
-    if isinstance(e, ENeg):
-        return {w: -c for w, c in word_expansion(e.a).items()}
-    if isinstance(e, EMul):
-        a = word_expansion(e.a)
-        b = word_expansion(e.b)
-        out = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                w = w1 + w2
-                c = c1 * c2
-                out[w] = out[w] + c if w in out else c
-        return {w: c for w, c in out.items() if not c.is_zero()}
-    if isinstance(e, EDiv):
-        b = word_expansion(e.b)
+
+    def add(self, e, a, b):
+        return _wsum(a, b, False)
+
+    def sub(self, e, a, b):
+        return _wsum(a, b, True)
+
+    def neg(self, e, a):
+        return {w: -c for w, c in a.items()}
+
+    def mul(self, e, a, b):
+        return _wprod(a, b)
+
+    def div(self, e, a, b):
         if set(b) != {()}:
             raise EngineError("word expansion: division by a non-scalar")
         inv = b[()].inverse()
-        return {w: c * inv for w, c in word_expansion(e.a).items()}
-    if isinstance(e, EPow):
+        return {w: c * inv for w, c in a.items()}
+
+    def pow(self, e, base):
         if e.k < 0:
             raise EngineError("word expansion: negative power")
         out = {(): ExactScalar.from_int(1)}
-        base = word_expansion(e.base)
         for _ in range(e.k):
-            nxt = {}
-            for w1, c1 in out.items():
-                for w2, c2 in base.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    nxt[w] = nxt[w] + c if w in nxt else c
-            out = {w: c for w, c in nxt.items() if not c.is_zero()}
+            out = _wprod(out, base)
         return out
-    raise EngineError(f"word expansion: node {type(e).__name__}")
+
+
+_WORD_EXPANSION = _WordExpansion()
+
+
+def word_expansion(e):
+    """Expand an x-free, twist-free expression into {D-word: coefficient},
+    words in product order (leftmost factor first)."""
+    return _fold(e, _WORD_EXPANSION)
 
 
 # ---------------------------------------------------------------------------

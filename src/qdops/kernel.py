@@ -1,26 +1,14 @@
-"""Select the polynomial kernel backend at import time.
+"""The polynomial kernel: dense Z[q] arithmetic, pure Python."""
 
-Set QDOPS_PURE=1 to force the pure-Python backend (useful for benchmarking
-and as the guaranteed fallback when the compiled extension is absent).
-"""
-
-import os
-
-if os.environ.get("QDOPS_PURE"):
-    from . import _polykernel_py as _impl
-else:
-    try:
-        from . import _polykernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _polykernel_py as _impl
-
-BACKEND = _impl.BACKEND
-pnorm = _impl.pnorm
-padd = _impl.padd
-psub = _impl.psub
-pneg = _impl.pneg
-pmul = _impl.pmul
-pmul_int = _impl.pmul_int
-pcontent = _impl.pcontent
-pdiv_exact = _impl.pdiv_exact
-pgcd = _impl.pgcd
+from ._polykernel_py import (
+    BACKEND,
+    padd,
+    pcontent,
+    pdiv_exact,
+    pgcd,
+    pmul,
+    pmul_int,
+    pneg,
+    pnorm,
+    psub,
+)

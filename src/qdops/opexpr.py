@@ -14,6 +14,25 @@ with `q` and integer/rational literals as scalars.  On the inverse-degree
 ring the same leaves read y-side (`x` ~ y, `s[a]` ~ sigma_y(a), `D[a]` ~
 dbeta_y(a)); with n variables the leaves are `x1..xn`, `s[a1,..,an]` and
 `Di[k]`.  Division is parsed at term level and must divide by a scalar.
+
+Every interpretation of a tree (printing, evaluation here; shapes,
+D-word expansion, the U_q morphisms and the quantum-plane action
+elsewhere) is one call of `_fold(root, algebra)`.  The fold walks the
+tree bottom-up with an explicit stack and interprets each distinct node
+once per call, so deep trees and the dags built by `integrate` cost time
+linear in their distinct nodes.  An algebra is an `_Algebra` with one
+handler per node kind, named by the node class's `_op`:
+
+    num(e)  gen(e)  add(e, a, b)  sub(e, a, b)  mul(e, a, b)
+    div(e, a, b)  neg(e, a)  pow(e, a)  bracket(e, a, b)
+
+called with the node and the values of its children `kids(e)`, in that
+order (a, b, or base).  `_Algebra` supplies a + b, a - b, -a, a * b and
+a ** e.k; num, gen, div and bracket raise EngineError naming the node
+unless the target defines them.  A target that reads a child some other
+way (the U_q targets evaluate a divisor as a plain scalar) overrides
+`kids` to leave it out.  Handlers must never change a child's value in
+place: memoized values are shared by every parent of the subtree.
 """
 
 from __future__ import annotations
@@ -61,6 +80,10 @@ class OperatorExpr:
     def __pow__(self, k):
         return EPow(self, k)
 
+    def _kids(self):
+        """Children in fold order; leaves have none."""
+        return ()
+
 
 def _as_expr(v):
     if isinstance(v, OperatorExpr):
@@ -69,6 +92,8 @@ def _as_expr(v):
 
 
 class ENum(OperatorExpr):
+    _op = "num"
+
     def __init__(self, value):
         self.value = scalar(value)
 
@@ -80,6 +105,8 @@ class EGen(OperatorExpr):
     """A generator leaf: name in {x, tau, s, D, x_i, sigma_vec, dbeta_i,
     E, F, K, Kinv, Ediv, Fdiv}; arg as the generator wants it."""
 
+    _op = "gen"
+
     def __init__(self, name, arg=None):
         self.name = name
         self.arg = arg
@@ -88,60 +115,128 @@ class EGen(OperatorExpr):
         return (self.name, self.arg)
 
 
-class EAdd(OperatorExpr):
+class _Binary(OperatorExpr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
     def key(self):
         return (self.a, self.b)
 
-
-class ESub(OperatorExpr):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def key(self):
+    def _kids(self):
         return (self.a, self.b)
 
 
-class EMul(OperatorExpr):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def key(self):
-        return (self.a, self.b)
+class EAdd(_Binary):
+    _op = "add"
 
 
-class EDiv(OperatorExpr):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
+class ESub(_Binary):
+    _op = "sub"
 
-    def key(self):
-        return (self.a, self.b)
+
+class EMul(_Binary):
+    _op = "mul"
+
+
+class EDiv(_Binary):
+    _op = "div"
 
 
 class ENeg(OperatorExpr):
+    _op = "neg"
+
     def __init__(self, a):
         self.a = a
 
     def key(self):
         return self.a
 
+    def _kids(self):
+        return (self.a,)
+
 
 class EPow(OperatorExpr):
+    _op = "pow"
+
     def __init__(self, base, k):
         self.base, self.k = base, int(k)
 
     def key(self):
         return (self.base, self.k)
 
+    def _kids(self):
+        return (self.base,)
+
 
 class EBracket(OperatorExpr):
+    _op = "bracket"
+
     def __init__(self, a, b, twist=0):
         self.a, self.b, self.twist = a, b, twist
 
     def key(self):
         return (self.a, self.b, self.twist)
+
+    def _kids(self):
+        return (self.a, self.b)
+
+
+# ---------------------------------------------------------------------------
+# the fold
+# ---------------------------------------------------------------------------
+
+def _fold(root, alg):
+    """Interpret the expression `root` in the algebra `alg`.
+
+    Post-order over the children `alg.kids(e)`, leftmost first, with an
+    explicit stack (no recursion, so depth is unbounded) and a memo on
+    node identity for this call (so a shared subtree is interpreted once
+    and a dag costs time linear in its distinct nodes).
+    """
+    memo = {}
+    stack = [root]
+    while stack:
+        e = stack[-1]
+        if id(e) in memo:
+            stack.pop()
+            continue
+        kids = alg.kids(e)
+        todo = [k for k in kids if id(k) not in memo]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        memo[id(e)] = getattr(alg, e._op)(e, *[memo[id(k)] for k in kids])
+    return memo[id(root)]
+
+
+class _Algebra:
+    """Base of the targets of `_fold`; see the module docstring.  A
+    subclass names its `target` for the EngineError on a node kind it has
+    no handler for."""
+
+    def kids(self, e):
+        return e._kids()
+
+    def unsupported(self, e, *_):
+        raise EngineError(f"{self.target}: no rule for {type(e).__name__}")
+
+    num = gen = div = bracket = unsupported
+
+    def add(self, e, a, b):
+        return a + b
+
+    def sub(self, e, a, b):
+        return a - b
+
+    def neg(self, e, a):
+        return -a
+
+    def mul(self, e, a, b):
+        return a * b
+
+    def pow(self, e, a):
+        return a ** e.k
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +251,31 @@ def _scalar_atom(v):
     plain = s[1:] if s.startswith("-") else s
     if any(ch in plain for ch in "+-*/ "):
         return f"({s})", _PREC_ATOM
-    return s, (_PREC_MUL if s.startswith("-") else _PREC_ATOM)
+    if s.startswith("-"):
+        return s, _PREC_MUL
+    # q^2 is a power: as a base it needs parentheses, or it reads q^2^2
+    return s, (_PREC_POW if "^" in s else _PREC_ATOM)
 
 
-def _render(e):
-    """-> (text, precedence of its top node)."""
-    if isinstance(e, ENum):
+def _wrap(v, need):
+    """Text of a rendered child, parenthesized below precedence `need`."""
+    s, p = v
+    return f"({s})" if p < need else s
+
+
+class _Render(_Algebra):
+    """Values: (text, precedence of its top node)."""
+
+    target = "printing"
+
+    def num(self, e):
         return _scalar_atom(e.value)
-    if isinstance(e, EGen):
+
+    def gen(self, e):
         n, a = e.name, e.arg
         if n in ("x", "tau", "E", "F", "K", "Kinv"):
             return n, _PREC_ATOM
-        if n == "s":
-            return f"s[{a}]", _PREC_ATOM
-        if n == "D":
-            return f"D[{a}]", _PREC_ATOM
-        if n in ("Ediv", "Fdiv"):
+        if n in ("s", "D", "Ediv", "Fdiv"):
             return f"{n}[{a}]", _PREC_ATOM
         if n == "x_i":
             return f"x{a + 1}", _PREC_ATOM
@@ -181,47 +285,40 @@ def _render(e):
             i, k = a
             return f"D{i + 1}[{k}]", _PREC_ATOM
         raise UnsupportedGenerator(f"cannot print generator {n!r}")
-    if isinstance(e, EAdd):
-        la, _ = _render_at(e.a, _PREC_SUM)
-        rb, _ = _render_at(e.b, _PREC_MUL)
+
+    def add(self, e, a, b):
+        la, rb = _wrap(a, _PREC_SUM), _wrap(b, _PREC_MUL)
         if rb.startswith("-"):
             return f"{la}-{rb[1:]}", _PREC_SUM
         return f"{la}+{rb}", _PREC_SUM
-    if isinstance(e, ESub):
-        la, _ = _render_at(e.a, _PREC_SUM)
-        rb, _ = _render_at(e.b, _PREC_MUL)
-        return f"{la}-{rb}", _PREC_SUM
-    if isinstance(e, EMul):
-        la, _ = _render_at(e.a, _PREC_MUL)
-        rb, _ = _render_at(e.b, _PREC_POW)
-        return f"{la}*{rb}", _PREC_MUL
-    if isinstance(e, EDiv):
-        la, _ = _render_at(e.a, _PREC_MUL)
-        rb, _ = _render_at(e.b, _PREC_ATOM)
-        return f"{la}/{rb}", _PREC_MUL
-    if isinstance(e, ENeg):
-        ra, _ = _render_at(e.a, _PREC_POW)
-        return f"-{ra}", _PREC_MUL
-    if isinstance(e, EPow):
-        rb, _ = _render_at(e.base, _PREC_ATOM)
-        return f"{rb}^{e.k}", _PREC_POW
-    if isinstance(e, EBracket):
-        parts = [expr_str(e.a), expr_str(e.b)]
+
+    def sub(self, e, a, b):
+        return f"{_wrap(a, _PREC_SUM)}-{_wrap(b, _PREC_MUL)}", _PREC_SUM
+
+    def mul(self, e, a, b):
+        return f"{_wrap(a, _PREC_MUL)}*{_wrap(b, _PREC_POW)}", _PREC_MUL
+
+    def div(self, e, a, b):
+        return f"{_wrap(a, _PREC_MUL)}/{_wrap(b, _PREC_ATOM)}", _PREC_MUL
+
+    def neg(self, e, a):
+        return f"-{_wrap(a, _PREC_POW)}", _PREC_MUL
+
+    def pow(self, e, a):
+        return f"{_wrap(a, _PREC_ATOM)}^{e.k}", _PREC_POW
+
+    def bracket(self, e, a, b):
+        parts = [a[0], b[0]]
         if e.twist:
             parts.append(str(e.twist))
         return "bracket(" + ",".join(parts) + ")", _PREC_ATOM
-    raise EngineError(f"unknown expression node {type(e).__name__}")
 
 
-def _render_at(e, need):
-    s, p = _render(e)
-    if p < need:
-        return f"({s})", _PREC_ATOM
-    return s, p
+_RENDER = _Render()
 
 
 def expr_str(e):
-    return _render(e)[0]
+    return _fold(e, _RENDER)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -459,64 +556,51 @@ def _invert_monomial(op):
 
 def evaluate(e, domain=POLY_X):
     """Expression -> GradedOperator (scalars become scalar multiples of 1)."""
-    v = _eval(e, domain, {})
-    return _promote(v, domain)
+    return _promote(_fold(e, _Eval(domain)), domain)
 
 
-def _eval(e, domain, memo):
-    # expression trees built by the integration recursion share subtrees;
-    # caching on node identity keeps their evaluation linear in the dag size
-    got = memo.get(id(e))
-    if got is not None:
-        return got
-    v = _eval_node(e, domain, memo)
-    memo[id(e)] = v
-    return v
+class _Eval(_Algebra):
+    """Values: ExactScalar while a subtree is scalar, else GradedOperator."""
 
+    target = "evaluation"
 
-def _eval_node(e, domain, memo):
-    if isinstance(e, ENum):
-        if e.value.nvars != domain.nvars:
+    def __init__(self, domain):
+        self.domain = domain
+
+    def num(self, e):
+        nvars = self.domain.nvars
+        if e.value.nvars != nvars:
             if e.value.is_rational():
-                return ExactScalar.from_fraction(e.value.as_fraction(), domain.nvars)
+                return ExactScalar.from_fraction(e.value.as_fraction(), nvars)
             raise UnsupportedGenerator("scalar arity does not fit the ring")
         return e.value
-    if isinstance(e, EGen):
-        return _gen_on(domain, e.name, e.arg)
-    if isinstance(e, EAdd):
-        a, b = _eval(e.a, domain, memo), _eval(e.b, domain, memo)
+
+    def gen(self, e):
+        return _gen_on(self.domain, e.name, e.arg)
+
+    def add(self, e, a, b):
         if isinstance(a, ExactScalar) and isinstance(b, ExactScalar):
             return a + b
-        return _promote(a, domain) + _promote(b, domain)
-    if isinstance(e, ESub):
-        a, b = _eval(e.a, domain, memo), _eval(e.b, domain, memo)
+        return _promote(a, self.domain) + _promote(b, self.domain)
+
+    def sub(self, e, a, b):
         if isinstance(a, ExactScalar) and isinstance(b, ExactScalar):
             return a - b
-        return _promote(a, domain) - _promote(b, domain)
-    if isinstance(e, EMul):
-        a, b = _eval(e.a, domain, memo), _eval(e.b, domain, memo)
-        if isinstance(a, ExactScalar) or isinstance(b, ExactScalar):
-            return a * b
-        return a * b
-    if isinstance(e, EDiv):
-        a, b = _eval(e.a, domain, memo), _eval(e.b, domain, memo)
+        return _promote(a, self.domain) - _promote(b, self.domain)
+
+    def div(self, e, a, b):
         if not isinstance(b, ExactScalar):
             raise EngineError("division by an operator")
         return a * b.inverse()
-    if isinstance(e, ENeg):
-        return -_eval(e.a, domain, memo)
-    if isinstance(e, EPow):
-        a = _eval(e.base, domain, memo)
-        if isinstance(a, ExactScalar):
-            return a ** e.k
-        if e.k >= 0:
+
+    def pow(self, e, a):
+        if isinstance(a, ExactScalar) or e.k >= 0:
             return a ** e.k
         return _invert_monomial(a) ** (-e.k)
-    if isinstance(e, EBracket):
-        a = _promote(_eval(e.a, domain, memo), domain)
-        b = _promote(_eval(e.b, domain, memo), domain)
-        return twisted_bracket(a, b, e.twist)
-    raise EngineError(f"cannot evaluate node {type(e).__name__}")
+
+    def bracket(self, e, a, b):
+        return twisted_bracket(_promote(a, self.domain),
+                               _promote(b, self.domain), e.twist)
 
 
 # ---------------------------------------------------------------------------

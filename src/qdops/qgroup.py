@@ -7,19 +7,7 @@ from __future__ import annotations
 
 from .errors import EngineError, GlueFailure, UnsupportedGenerator
 from .exactscalar import ExactScalar, q_factorial, scalar
-from .opexpr import (
-    EAdd,
-    EBracket,
-    EDiv,
-    EGen,
-    EMul,
-    ENeg,
-    ENum,
-    EPow,
-    ESub,
-    OperatorExpr,
-    parse,
-)
+from .opexpr import EDiv, _Algebra, _fold, parse
 from .opsym import (
     GradedOperator,
     equals,
@@ -113,65 +101,94 @@ _PLANE_LETTERS = {
 }
 
 
+class _Scalar(_Algebra):
+    """Values: ExactScalar, for the scalar-only divisors of U_q words."""
+
+    target = "scalar expression"
+
+    def num(self, e):
+        return e.value
+
+    def div(self, e, a, b):
+        return a / b
+
+
+_SCALAR = _Scalar()
+
+
+class _Words(_Algebra):
+    """U_q targets: a divisor is read by _SCALAR, never as a word."""
+
+    def kids(self, e):
+        return (e.a,) if type(e) is EDiv else e._kids()
+
+    def divisor_inverse(self, e):
+        return _fold(e.b, _SCALAR).inverse()
+
+
+class _PlaneAction(_Words):
+    """Values: functions PlaneElement -> PlaneElement."""
+
+    target = "plane action"
+
+    def num(self, e):
+        c = e.value
+        return lambda s: s * c
+
+    def gen(self, e):
+        if e.name in _PLANE_LETTERS:
+            return _PLANE_LETTERS[e.name]
+        if e.name in ("Ediv", "Fdiv"):
+            m = int(e.arg)
+            letter = _PLANE_LETTERS[e.name[0]]
+
+            def divided(s):
+                for _ in range(m):
+                    s = letter(s)
+                return s * q_factorial(m).inverse()
+            return divided
+        raise UnsupportedGenerator(f"no plane action for {e.name!r}")
+
+    def add(self, e, a, b):
+        return lambda s: a(s) + b(s)
+
+    def sub(self, e, a, b):
+        return lambda s: a(s) - b(s)
+
+    def neg(self, e, a):
+        return lambda s: -a(s)
+
+    def mul(self, e, a, b):
+        return lambda s: a(b(s))
+
+    def div(self, e, a):
+        inv = self.divisor_inverse(e)
+        return lambda s: a(s) * inv
+
+    def pow(self, e, base):
+        if e.k < 0:
+            raise EngineError("negative word power in the plane action")
+
+        def power(s):
+            for _ in range(e.k):
+                s = base(s)
+            return s
+        return power
+
+    def bracket(self, e, a, b):
+        if e.twist:
+            raise EngineError("twisted brackets have no plane action")
+        return lambda s: a(b(s)) - b(a(s))
+
+
+_PLANE_ACTION = _PlaneAction()
+
+
 def act_on_plane(w, s):
     """Act by the word/expression w on a plane element."""
     if isinstance(w, str):
         w = parse(w, mode="uq")
-    if isinstance(w, ENum):
-        return s * w.value
-    if isinstance(w, EGen):
-        if w.name in _PLANE_LETTERS:
-            return _PLANE_LETTERS[w.name](s)
-        if w.name in ("Ediv", "Fdiv"):
-            m = int(w.arg)
-            out = s
-            for _ in range(m):
-                out = _PLANE_LETTERS[w.name[0]](out)
-            return out * q_factorial(m).inverse()
-        raise UnsupportedGenerator(f"no plane action for {w.name!r}")
-    if isinstance(w, EAdd):
-        return act_on_plane(w.a, s) + act_on_plane(w.b, s)
-    if isinstance(w, ESub):
-        return act_on_plane(w.a, s) - act_on_plane(w.b, s)
-    if isinstance(w, ENeg):
-        return -act_on_plane(w.a, s)
-    if isinstance(w, EMul):
-        return act_on_plane(w.a, act_on_plane(w.b, s))
-    if isinstance(w, EDiv):
-        c = _expr_scalar(w.b)
-        return act_on_plane(w.a, s) * c.inverse()
-    if isinstance(w, EPow):
-        if w.k < 0:
-            raise EngineError("negative word power in the plane action")
-        out = s
-        for _ in range(w.k):
-            out = act_on_plane(w.base, out)
-        return out
-    if isinstance(w, EBracket):
-        if w.twist:
-            raise EngineError("twisted brackets have no plane action")
-        return act_on_plane(w.a, act_on_plane(w.b, s)) \
-            - act_on_plane(w.b, act_on_plane(w.a, s))
-    raise EngineError(f"cannot act by node {type(w).__name__}")
-
-
-def _expr_scalar(e):
-    """Evaluate a scalar-only subtree."""
-    if isinstance(e, ENum):
-        return e.value
-    if isinstance(e, EAdd):
-        return _expr_scalar(e.a) + _expr_scalar(e.b)
-    if isinstance(e, ESub):
-        return _expr_scalar(e.a) - _expr_scalar(e.b)
-    if isinstance(e, ENeg):
-        return -_expr_scalar(e.a)
-    if isinstance(e, EMul):
-        return _expr_scalar(e.a) * _expr_scalar(e.b)
-    if isinstance(e, EDiv):
-        return _expr_scalar(e.a) / _expr_scalar(e.b)
-    if isinstance(e, EPow):
-        return _expr_scalar(e.base) ** e.k
-    raise EngineError("expected a scalar expression")
+    return _fold(w, _PLANE_ACTION)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -221,45 +238,44 @@ def _letters(which):
     return _GAMMA, POLY_Y
 
 
-def _hom_eval(e, letters, domain):
-    if isinstance(e, ENum):
-        return GradedOperator.identity(domain) * e.value
-    if isinstance(e, EGen):
-        if e.name in letters:
-            return letters[e.name]
+class _Hom(_Words):
+    """Values: GradedOperator images of the letters under alpha or gamma."""
+
+    target = "U_q morphism"
+
+    def __init__(self, letters, domain):
+        self.letters, self.domain = letters, domain
+
+    def num(self, e):
+        return GradedOperator.identity(self.domain) * e.value
+
+    def gen(self, e):
+        if e.name in self.letters:
+            return self.letters[e.name]
         if e.name in ("Ediv", "Fdiv"):
             m = int(e.arg)
-            out = GradedOperator.identity(domain)
-            base = letters[e.name[0]]
+            out = GradedOperator.identity(self.domain)
+            base = self.letters[e.name[0]]
             for _ in range(m):
                 out = out * base
             return out * q_factorial(m).inverse()
         raise UnsupportedGenerator(f"not a U_q leaf: {e.name!r}")
-    if isinstance(e, EAdd):
-        return _hom_eval(e.a, letters, domain) + _hom_eval(e.b, letters, domain)
-    if isinstance(e, ESub):
-        return _hom_eval(e.a, letters, domain) - _hom_eval(e.b, letters, domain)
-    if isinstance(e, ENeg):
-        return -_hom_eval(e.a, letters, domain)
-    if isinstance(e, EMul):
-        return _hom_eval(e.a, letters, domain) * _hom_eval(e.b, letters, domain)
-    if isinstance(e, EDiv):
-        return _hom_eval(e.a, letters, domain) * _expr_scalar(e.b).inverse()
-    if isinstance(e, EPow):
+
+    def div(self, e, a):
+        return a * self.divisor_inverse(e)
+
+    def pow(self, e, base):
         if e.k < 0:
             raise EngineError("negative power of a U_q word")
-        out = GradedOperator.identity(domain)
-        base = _hom_eval(e.base, letters, domain)
+        out = GradedOperator.identity(self.domain)
         for _ in range(e.k):
             out = out * base
         return out
-    if isinstance(e, EBracket):
+
+    def bracket(self, e, a, b):
         if e.twist:
             raise EngineError("U_q brackets are untwisted")
-        a = _hom_eval(e.a, letters, domain)
-        b = _hom_eval(e.b, letters, domain)
         return a * b - b * a
-    raise EngineError(f"cannot map node {type(e).__name__}")
 
 
 def _as_uq(w):
@@ -267,13 +283,11 @@ def _as_uq(w):
 
 
 def alpha(w):
-    letters, domain = _letters("alpha")
-    return _hom_eval(_as_uq(w), letters, domain)
+    return _fold(_as_uq(w), _Hom(*_letters("alpha")))
 
 
 def gamma(w):
-    letters, domain = _letters("gamma")
-    return _hom_eval(_as_uq(w), letters, domain)
+    return _fold(_as_uq(w), _Hom(*_letters("gamma")))
 
 
 def gamma_q_member(pair):

@@ -20,18 +20,7 @@ from __future__ import annotations
 from .errors import EngineError, UnsupportedGenerator
 from .exactscalar import ExactScalar, scalar
 from . import opexpr
-from .opexpr import (
-    EAdd,
-    EBracket,
-    EDiv,
-    EGen,
-    EMul,
-    ENeg,
-    ENum,
-    EPow,
-    ESub,
-    OperatorExpr,
-)
+from .opexpr import EAdd, EGen, EMul, ENum, EPow, _Algebra, _fold
 
 
 def _pclean(p):
@@ -261,46 +250,39 @@ def _is_scalar_shape(sf):
     return None
 
 
-def shape_normalize(e):
-    """OperatorExpr (one variable, direct degree) -> ShapeForm."""
-    if isinstance(e, ShapeForm):
-        return e
-    if isinstance(e, ENum):
+class _Shapes(_Algebra):
+    """Values: ShapeForm; sums, differences, negatives and products are
+    the ShapeForm ring operations."""
+
+    target = "shape normal form"
+
+    def num(self, e):
         return ShapeForm.of_term(0, {0: e.value}, ())
-    if isinstance(e, EGen):
+
+    def gen(self, e):
         return _shape_of_gen(e.name, e.arg)
-    if isinstance(e, EAdd):
-        return shape_normalize(e.a) + shape_normalize(e.b)
-    if isinstance(e, ESub):
-        return shape_normalize(e.a) - shape_normalize(e.b)
-    if isinstance(e, ENeg):
-        return -shape_normalize(e.a)
-    if isinstance(e, EMul):
-        return shape_normalize(e.a) * shape_normalize(e.b)
-    if isinstance(e, EDiv):
-        c = _is_scalar_shape(shape_normalize(e.b))
+
+    def div(self, e, a, b):
+        c = _is_scalar_shape(b)
         if c is None or c.is_zero():
             raise EngineError("shape division needs a nonzero scalar divisor")
-        return shape_normalize(e.a).scale(c.inverse())
-    if isinstance(e, EPow):
-        base = shape_normalize(e.base)
-        if e.k >= 0:
-            out = _ONE_SHAPE
-            for _ in range(e.k):
-                out = out * base
-            return out
-        if len(base.classes) == 1:
-            ((a, I), p), = base.classes.items()
-            if not I and set(p) == {0}:
-                inv = ShapeForm.of_term(-a, {0: p[0].inverse()}, ())
-                out = _ONE_SHAPE
-                for _ in range(-e.k):
-                    out = out * inv
-                return out
-        raise EngineError("negative shape power of a non-invertible factor")
-    if isinstance(e, EBracket):
-        A = shape_normalize(e.a)
-        B = shape_normalize(e.b)
+        return a.scale(c.inverse())
+
+    def pow(self, e, base):
+        if e.k < 0:
+            cls = list(base.classes.items())
+            if len(cls) != 1 or cls[0][0][1] or set(cls[0][1]) != {0}:
+                raise EngineError("negative shape power of a non-invertible "
+                                  "factor")
+            (a, _), p = cls[0]
+            base = ShapeForm.of_term(-a, {0: p[0].inverse()}, ())
+        # ShapeForm is not canonical: keep the plain left-to-right product
+        out = _ONE_SHAPE
+        for _ in range(abs(e.k)):
+            out = out * base
+        return out
+
+    def bracket(self, e, A, B):
         out = A * B
         t = e.twist
         for (a, I), p in B.classes.items():
@@ -310,4 +292,13 @@ def shape_normalize(e):
                 piece = ShapeForm.of_term(a, {d: c}, I) * A
                 out = out - piece.scale(w)
         return out
-    raise EngineError(f"cannot shape node {type(e).__name__}")
+
+
+_SHAPES = _Shapes()
+
+
+def shape_normalize(e):
+    """OperatorExpr (one variable, direct degree) -> ShapeForm."""
+    if isinstance(e, ShapeForm):
+        return e
+    return _fold(e, _SHAPES)

@@ -1,0 +1,88 @@
+"""Golden CLI transcripts: exit status, stdout and stderr of `cli.main`
+must match the recorded ones byte for byte.
+
+The cases cover every subcommand that interprets an expression (eval,
+apply, bracket, integrate on a shared-subtree answer, simplicity-witness,
+uq with a truncation level), a few typed failures, and `verify --json`
+for each of the fifteen suites at small seeded sizes.
+
+To record the transcripts of the code on PYTHONPATH (only when an output
+change is intended):
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from qdops.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("data") / "cli_golden.json"
+
+SUITES = ("d0-commutative", "domain-sample", "eta1-surjectivity",
+          "gamma-generators", "immediate-formulae", "integrate-exhaustive",
+          "intrinsic-relations", "nonsurjectivity", "note-identities",
+          "nvariables", "qcenter", "simplicity-random", "truncation",
+          "uq-plane-consistency", "uq-relations")
+
+CASES = [
+    ["eval", "D[1]*x - q*x*D[1]"],
+    ["eval", "tau*s[1]", "--json"],
+    ["eval", "bracket(D[1], x^2, 1)/(q+1) - 2*s[-1]^-2"],
+    ["eval", "x1*D2[1] - s[1,-1]*x2", "--ring", "n=2"],
+    ["eval", "x*D[-1] + tau", "--ring", "y"],
+    ["eval", "x^-1*D[0]", "--ring", "laurent"],
+    ["apply", "D[1]", "x^3"],
+    ["apply", "tau*s[1] + D[0]", "x^2 + q*x", "--json"],
+    ["bracket", "D[1]", "x", "--twist", "0"],
+    ["bracket", "D[1]", "x*x"],
+    ["bracket", "D[-1]", "x^2*D[-1]", "--twist", "-2"],
+    ["integrate", "--word", "2,-1,1", "--b", "3"],
+    ["integrate", "--word", "2,-1,1", "--b", "3", "--json"],
+    ["integrate", "--word", "1,-1,0", "--b", "0"],
+    ["simplicity-witness", "s[2]*x^3"],
+    ["simplicity-witness", "D[1]*x - q*x*D[1] + tau*D[-1]"],
+    ["simplicity-witness", "(x + 1)*D[0]*s[-1]/(q+1)", "--json"],
+    ["uq", "E*F - F*E", "--level", "2"],
+    ["uq", "Ediv[2]*Fdiv[1] + K/q^-1 - Kinv^2"],
+    ["uq", "bracket(E, F)/(q - q^-1)", "--json"],
+    ["uq", "bracket(E, F)/(q - q^-1)", "--level", "3"],
+    ["suites"],
+    # typed failures
+    ["eval", "D[1"],
+    ["eval", "x^-1"],
+    ["eval", "x/D[1]"],
+    ["simplicity-witness", "D[2]*x"],
+    ["simplicity-witness", "x/(x+1)"],
+    ["uq", "E^-1"],
+    ["uq", "bracket(E, F, 1)"],
+] + [["verify", s, "--cases", "6", "--max-degree", "2", "--seed", "7",
+      "--json"] for s in SUITES]
+
+
+def transcript(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return {"argv": list(argv), "rc": rc, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def _recorded():
+    return {tuple(t["argv"]): t for t in json.loads(GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a))
+def test_cli_matches_golden(argv):
+    want = _recorded()[tuple(argv)]
+    assert transcript(argv) == want
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps([transcript(a) for a in CASES], indent=1)
+                      + "\n")

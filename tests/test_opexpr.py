@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdops.exactscalar import ExactScalar, scalar
-from qdops.opexpr import parse, evaluate, expr_str, decompose_degree0, ENum
+from qdops.opexpr import (parse, evaluate, expr_str, decompose_degree0, EAdd,
+                          EBracket, EDiv, EGen, EMul, ENeg, ENum, EPow, ESub)
 from qdops.opsym import GradedOperator, Symbol, generator, compose, equals
 from qdops.rings import POLY_X, POLY_Y, LAURENT_X, poly_n, RingElement
 from qdops.errors import ParseError, NotDegreeZero, UnsupportedGenerator
@@ -26,6 +28,66 @@ qp = ExactScalar.q_power
 def test_parse_print_round_trip(text):
     e = parse(text)
     assert expr_str(parse(expr_str(e))) == expr_str(e)
+
+
+# scalars chosen for their printed forms: q^2 is a power, -q^2 and -3 a
+# negated atom, the rest need parentheses
+ROUND_TRIP_SCALARS = [scalar(0), scalar(1), scalar(-3), scalar("1/2"),
+                      qp(1), qp(2), qp(3), -qp(2), qp(-1),
+                      (qp(1) + 1) / (qp(1) - 1)]
+INVERTIBLE = [s for s in ROUND_TRIP_SCALARS if not s.is_zero()]
+
+leaves = st.one_of(
+    st.sampled_from([EGen("x"), EGen("tau")]),
+    st.builds(EGen, st.sampled_from(["s", "D"]), st.integers(-2, 2)),
+    st.builds(ENum, st.sampled_from(ROUND_TRIP_SCALARS)),
+)
+
+
+@st.composite
+def trees(draw):
+    """A random expression whose nodes may reuse earlier nodes, so the
+    trees include shared subtrees."""
+    pool = [draw(leaves)]
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(
+            ["leaf", "add", "sub", "mul", "neg", "pow", "inv", "div",
+             "bracket"]))
+        if kind == "leaf":
+            node = draw(leaves)
+        elif kind in ("add", "sub", "mul"):
+            node = {"add": EAdd, "sub": ESub, "mul": EMul}[kind](pick(), pick())
+        elif kind == "neg":
+            node = ENeg(pick())
+        elif kind == "pow":
+            node = EPow(pick(), draw(st.integers(0, 2)))
+        elif kind == "inv":
+            base = draw(st.one_of(
+                st.builds(ENum, st.sampled_from(INVERTIBLE)),
+                st.builds(EGen, st.just("s"), st.integers(-2, 2))))
+            node = EPow(base, -draw(st.integers(1, 2)))
+        elif kind == "div":
+            node = EDiv(pick(), ENum(draw(st.sampled_from(INVERTIBLE))))
+        else:
+            node = EBracket(pick(), pick(), draw(st.integers(-2, 2)))
+        pool.append(node)
+    return pool[-1]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(trees())
+def test_printed_trees_reparse_to_the_same_operator(e):
+    text = expr_str(e)
+    assert equals(evaluate(parse(text)), evaluate(e)), text
+
+
+def test_scalar_power_base_is_parenthesized():
+    assert expr_str(EPow(ENum(qp(2)), 2)) == "(q^2)^2"
+    assert expr_str(EMul(EGen("x"), ENum(qp(2)))) == "x*q^2"
 
 
 def test_eval_examples():
