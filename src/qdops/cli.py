@@ -24,7 +24,7 @@ from .errors import EngineError, ParseError
 from .rings import POLY_X, POLY_Y, LAURENT_X, poly_n, RingElement
 from .opsym import twisted_bracket, equals, truncate_operator
 from .opexpr import parse, evaluate, expr_str, decompose_degree0
-from .render import (operator_str, ring_element_str, scalar_str,
+from .render import (operator_str, ring_element_str, symbol_rows,
                      truncated_operator_str)
 from . import algorithms as alg
 from . import qgroup
@@ -72,19 +72,12 @@ def _cmd_eval(args):
     op = evaluate(parse(args.expr), dom)
     results = [{"degree": e[0] if dom.nvars == 1 else list(e),
                 "symbol": s}
-               for e, s in _symbol_rows(op)]
+               for e, s in symbol_rows(op)]
     _emit(args, {"command": "eval",
                  "inputs": {"expr": args.expr, "ring": args.ring},
                  "results": results, "verdict": "OK"},
           [operator_str(op)])
     return 0
-
-
-def _symbol_rows(op):
-    from .render import symbol_str, _symbol_vars
-    uvar, mvar = _symbol_vars(op.domain)
-    return [(e, symbol_str(op.parts[e], uvar, mvar))
-            for e in sorted(op.parts)]
 
 
 def _cmd_apply(args):
@@ -148,6 +141,8 @@ def _cmd_witness(args):
 
 
 def _cmd_uq(args):
+    if args.level is not None and args.level < 1:
+        raise ParseError(0, f"--level must be at least 1, got {args.level}")
     a = qgroup.alpha(args.word)
     g = qgroup.gamma(args.word)
     glued = qgroup.gamma_q_member((a, g))

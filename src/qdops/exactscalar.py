@@ -357,7 +357,8 @@ class ExactScalar:
         """Image in Q[t]/(t^n) under q = 1+t.  Raises NotIntegralAtOne."""
         if self.nvars != 1:
             raise DomainMismatch("truncate is defined for one variable")
-        assert n >= 1
+        if n < 1:
+            raise DomainMismatch(f"truncation level must be at least 1, got {n}")
         if self.c == 0:
             return TruncatedScalar.zero(n)
         if self.valuation_at_1() < 0:
@@ -550,23 +551,5 @@ class TruncatedScalar:
         return f"TruncatedScalar({self})"
 
     def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                if c == 1:
-                    terms.append(t)
-                elif c == -1:
-                    terms.append(f"-{t}")
-                else:
-                    terms.append(f"{c}*{t}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        from .render import truncated_scalar_str
+        return truncated_scalar_str(self)

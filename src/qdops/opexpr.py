@@ -53,12 +53,6 @@ from .rings import POLY_X, RingTag
 # ---------------------------------------------------------------------------
 
 class OperatorExpr:
-    def __eq__(self, other):
-        return type(self) is type(other) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.key()))
-
     def __str__(self):
         return expr_str(self)
 
@@ -97,9 +91,6 @@ class ENum(OperatorExpr):
     def __init__(self, value):
         self.value = scalar(value)
 
-    def key(self):
-        return self.value
-
 
 class EGen(OperatorExpr):
     """A generator leaf: name in {x, tau, s, D, x_i, sigma_vec, dbeta_i,
@@ -111,16 +102,10 @@ class EGen(OperatorExpr):
         self.name = name
         self.arg = arg
 
-    def key(self):
-        return (self.name, self.arg)
-
 
 class _Binary(OperatorExpr):
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def key(self):
-        return (self.a, self.b)
 
     def _kids(self):
         return (self.a, self.b)
@@ -148,9 +133,6 @@ class ENeg(OperatorExpr):
     def __init__(self, a):
         self.a = a
 
-    def key(self):
-        return self.a
-
     def _kids(self):
         return (self.a,)
 
@@ -161,9 +143,6 @@ class EPow(OperatorExpr):
     def __init__(self, base, k):
         self.base, self.k = base, int(k)
 
-    def key(self):
-        return (self.base, self.k)
-
     def _kids(self):
         return (self.base,)
 
@@ -173,9 +152,6 @@ class EBracket(OperatorExpr):
 
     def __init__(self, a, b, twist=0):
         self.a, self.b, self.twist = a, b, twist
-
-    def key(self):
-        return (self.a, self.b, self.twist)
 
     def _kids(self):
         return (self.a, self.b)

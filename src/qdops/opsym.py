@@ -380,16 +380,20 @@ def generator(name, domain, arg=None):
         z = _zero_key(nv)
         if name == "x_i":
             i = int(arg)
-            assert 0 <= i < nv
+            if not 0 <= i < nv:
+                raise UnsupportedGenerator(f"no generator x{i + 1} on {domain!r}")
             e = tuple(1 if v == i else 0 for v in range(nv))
             return GradedOperator(domain, {e: Symbol.constant(1, nv)})
         if name == "sigma_vec":
             a = tuple(int(x) for x in arg)
-            assert len(a) == nv
+            if len(a) != nv:
+                raise UnsupportedGenerator(
+                    f"s[...] takes {nv} shifts on {domain!r}, got {len(a)}")
             return GradedOperator(domain, {z: Symbol(nv, {(a, z): q1})})
         if name == "dbeta_i":
             i, k = arg
-            assert 0 <= i < nv
+            if not 0 <= i < nv:
+                raise UnsupportedGenerator(f"no generator D{i + 1} on {domain!r}")
             e = tuple(-1 if v == i else 0 for v in range(nv))
             if k == 0:
                 jv = tuple(1 if v == i else 0 for v in range(nv))

@@ -1,22 +1,53 @@
 """Deterministic plain-text rendering for scalars, ring elements, symbols
-and operators.  Exponents print in descending order; composite
-coefficients are parenthesized so output re-parses unambiguously."""
+and operators.
+
+Every printed sum is built from four rules:
+
+    _monomial   var^x factors joined by '*'       u^2*m
+    _summand    coefficient text times monomial   -m, 3*u, (q + 1)*m
+    _join       summands joined by signs          a + b - c
+    _quotient   N/D                               m/(7*q^2)
+
+Exponents print in descending order (truncated scalars: ascending).
+Composite coefficients are parenthesized, and so is a denominator that
+contains a sum or a product, so output reads back under the usual
+precedence.  A lone rational prints bare in polynomials over Q
+(`q + 3/7`) and parenthesized where the coefficients are scalars
+(`x + (3/7)`)."""
 
 import math
-from fractions import Fraction
 
 
-def _fmt_coeff_exp(c, var, e):
-    """One monomial c*var^e with a Fraction coefficient."""
-    if e == 0:
-        return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    v = var if e == 1 else f"{var}^{e}"
-    if c == 1:
-        return v
-    if c == -1:
-        return f"-{v}"
-    cs = str(c) if c.denominator == 1 else f"({c.numerator}/{c.denominator})"
-    return f"{cs}*{v}"
+def _paren(s, breaks="+-/ "):
+    """s, parenthesized if its body (after a leading minus) contains one
+    of `breaks`, so that it can be spliced into a product."""
+    body = s[1:] if s.startswith("-") else s
+    return f"({s})" if any(ch in body for ch in breaks) else s
+
+
+def _bare(s):
+    return s
+
+
+def _monomial(factors):
+    """The factors var^x with x != 0 of the (var, x) pairs, '*'-joined."""
+    return "*".join(v if x == 1 else f"{v}^{x}" for v, x in factors if x)
+
+
+def _indexed(var, exps):
+    """(var1, x1), (var2, x2), ... for an exponent vector."""
+    return [(f"{var}{i + 1}", x) for i, x in enumerate(exps)]
+
+
+def _summand(cs, mono, lone=_paren, factor=_paren):
+    """Coefficient text `cs` times monomial text `mono` ('' for a constant
+    term).  A unit coefficient prints as a sign; `lone` wraps a constant
+    term and `factor` a coefficient in front of a monomial."""
+    if not mono:
+        return lone(cs)
+    if cs in ("1", "-1"):
+        return cs[:-1] + mono
+    return f"{factor(cs)}*{mono}"
 
 
 def _join(terms):
@@ -28,142 +59,72 @@ def _join(terms):
     return out
 
 
-def poly_terms_str(pairs, var):
-    """pairs: iterable of (exponent, Fraction), rendered descending."""
-    pairs = [(e, Fraction(c)) for e, c in pairs if c]
-    pairs.sort(key=lambda t: -t[0])
-    return _join([_fmt_coeff_exp(c, var, e) for e, c in pairs])
-
-
-def _is_simple(s):
-    """No internal + or - and no /: safe to splice without parens."""
-    body = s[1:] if s.startswith("-") else s
-    return not any(ch in body for ch in "+-/ ")
-
-
-def _paren(s):
-    return s if _is_simple(s) else f"({s})"
-
-
-def scalar_str(s):
-    from .exactscalar import ExactScalar  # noqa: F401 (documentation import)
-
-    if s.c == 0:
-        return "0"
-    if s.nvars == 1:
-        den = s.den
-        if len([c for c in den if c]) == 1:
-            # monomial denominator: print as a Laurent polynomial in q
-            k = len(den) - 1
-            lead = den[-1]
-            pairs = [(i - k, s.c * Fraction(ci, lead))
-                     for i, ci in enumerate(s.num) if ci]
-            return poly_terms_str(pairs, "q")
-        numpairs = [(i, s.c * ci) for i, ci in enumerate(s.num) if ci]
-        ns = poly_terms_str(numpairs, "q")
-        ds = poly_terms_str([(i, Fraction(ci)) for i, ci in enumerate(den) if ci], "q")
-        return f"{_paren(ns)}/{_paren(ds)}"
-    # several variables
-    ns = _mpoly_str({e: s.c * c for e, c in s.num.items()})
-    one = {(0,) * s.nvars: 1}
-    if s.den == one:
+def _quotient(ns, ds):
+    """N/D, or N when D is 1.  A denominator with a sum or a product is
+    parenthesized: m/(7*q^2), never m/7*q^2."""
+    if ds == "1":
         return ns
-    ds = _mpoly_str({e: Fraction(c) for e, c in s.den.items()})
-    return f"{_paren(ns)}/{_paren(ds)}"
+    return f"{_paren(ns)}/{_paren(ds, '+-*/ ')}"
+
+
+def poly_terms_str(pairs, var):
+    """pairs: iterable of (exponent, rational), rendered descending."""
+    pairs = sorted(((e, c) for e, c in pairs if c), key=lambda t: -t[0])
+    return _join([_summand(str(c), _monomial([(var, e)]), lone=_bare)
+                  for e, c in pairs])
 
 
 def _mpoly_str(d):
-    terms = []
-    for e in sorted(d, reverse=True):
-        c = Fraction(d[e])
-        if not c:
-            continue
-        mono = "*".join(
-            (f"q{v + 1}" if x == 1 else f"q{v + 1}^{x}")
-            for v, x in enumerate(e) if x)
-        if not mono:
-            terms.append(str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}")
-        elif c == 1:
-            terms.append(mono)
-        elif c == -1:
-            terms.append(f"-{mono}")
-        else:
-            cs = str(c) if c.denominator == 1 else f"({c.numerator}/{c.denominator})"
-            terms.append(f"{cs}*{mono}")
-    return _join(terms)
+    """{exponent vector: rational} in q1..qn, rendered descending."""
+    return _join([_summand(str(d[e]), _monomial(_indexed("q", e)), lone=_bare)
+                  for e in sorted(d, reverse=True) if d[e]])
 
 
-def _coeff_prefix(cstr):
-    if cstr == "1":
-        return ""
-    if cstr == "-1":
-        return "-"
-    return _paren(cstr) + "*"
+def scalar_str(s):
+    if s.c == 0:
+        return "0"
+    if s.nvars > 1:
+        return _quotient(_mpoly_str({e: s.c * c for e, c in s.num.items()}),
+                         _mpoly_str(s.den))
+    den = s.den
+    if len([c for c in den if c]) == 1:
+        # monomial denominator: print as a Laurent polynomial in q
+        k, lead = len(den) - 1, den[-1]
+        return poly_terms_str([(i - k, s.c * c / lead)
+                               for i, c in enumerate(s.num)], "q")
+    num = [(i, s.c * c) for i, c in enumerate(s.num)]
+    return _quotient(poly_terms_str(num, "q"), poly_terms_str(enumerate(den), "q"))
+
+
+def truncated_scalar_str(s):
+    """c_0 + c_1*t + ... in Q[t]/(t^n), ascending, coefficients bare."""
+    return _join([_summand(str(c), _monomial([("t", i)]), _bare, _bare)
+                  for i, c in enumerate(s.coeffs) if c])
 
 
 def ring_element_str(p):
-    if not p.terms:
-        return "0"
     tag = p.tag
     terms = []
     for e in sorted(p.terms, reverse=True):
-        c = scalar_str(p.terms[e])
-        if tag.kind == "polyn":
-            mono = "*".join(
-                (f"x{v + 1}" if x == 1 else f"x{v + 1}^{x}")
-                for v, x in enumerate(e) if x)
-        else:
-            v = tag.varname
-            mono = "" if e == 0 else (v if e == 1 else f"{v}^{e}")
-        if not mono:
-            terms.append(c if _is_simple(c) else f"({c})")
-        else:
-            terms.append(_coeff_prefix(c) + mono)
+        factors = _indexed("x", e) if tag.kind == "polyn" else [(tag.varname, e)]
+        terms.append(_summand(scalar_str(p.terms[e]), _monomial(factors)))
     return _join(terms)
 
 
 def plane_element_str(s):
-    if not s.terms:
-        return "0"
-    terms = []
-    for (a, b) in sorted(s.terms, reverse=True):
-        c = scalar_str(s.terms[(a, b)])
-        parts = []
-        if a:
-            parts.append("u" if a == 1 else f"u^{a}")
-        if b:
-            parts.append("v" if b == 1 else f"v^{b}")
-        mono = "*".join(parts)
-        if not mono:
-            terms.append(c if _is_simple(c) else f"({c})")
-        else:
-            terms.append(_coeff_prefix(c) + mono)
-    return _join(terms)
+    return _join([_summand(scalar_str(s.terms[(a, b)]),
+                           _monomial([("u", a), ("v", b)]))
+                  for (a, b) in sorted(s.terms, reverse=True)])
 
 
 def symbol_str(sym, uvar="u", mvar="m"):
     """One-variable symbols get a common denominator; several variables
     print term by term."""
-    if sym.is_zero():
-        return "0"
     if sym.nvars == 1:
         return _symbol1_str(sym, uvar, mvar)
-    terms = []
-    for (iv, jv) in sorted(sym.coeffs, reverse=True):
-        c = scalar_str(sym.coeffs[(iv, jv)])
-        parts = []
-        for v, x in enumerate(iv):
-            if x:
-                parts.append(f"{uvar}{v + 1}" if x == 1 else f"{uvar}{v + 1}^{x}")
-        for v, x in enumerate(jv):
-            if x:
-                parts.append(f"{mvar}{v + 1}" if x == 1 else f"{mvar}{v + 1}^{x}")
-        mono = "*".join(parts)
-        if not mono:
-            terms.append(c if _is_simple(c) else f"({c})")
-        else:
-            terms.append(_coeff_prefix(c) + mono)
-    return _join(terms)
+    return _join([_summand(scalar_str(sym.coeffs[(iv, jv)]),
+                           _monomial(_indexed(uvar, iv) + _indexed(mvar, jv)))
+                  for (iv, jv) in sorted(sym.coeffs, reverse=True)])
 
 
 def _symbol1_str(sym, uvar, mvar):
@@ -179,56 +140,35 @@ def _symbol1_str(sym, uvar, mvar):
     terms = []
     for (iv, jv) in sorted(sym.coeffs, reverse=True):
         c = sym.coeffs[(iv, jv)]
-        i, j = iv[0], jv[0]
         mult = kernel.pdiv_exact(den, list(c.den))
         npoly = kernel.pmul_int(kernel.pmul(list(c.num), mult),
                                 c.c.numerator * (dlcm // c.c.denominator))
-        cs = poly_terms_str([(k, Fraction(x)) for k, x in enumerate(npoly) if x], "q")
-        parts = []
-        if i:
-            parts.append(uvar if i == 1 else f"{uvar}^{i}")
-        if j:
-            parts.append(mvar if j == 1 else f"{mvar}^{j}")
-        mono = "*".join(parts)
-        if not mono:
-            terms.append(cs if _is_simple(cs) else f"({cs})")
-        else:
-            terms.append(_coeff_prefix(cs) + mono)
-    num_str = _join(terms)
-    if den == [1] and dlcm == 1:
-        return num_str
-    den_str = poly_terms_str([(k, Fraction(x * dlcm)) for k, x in enumerate(den) if x], "q")
-    return f"{_paren(num_str)}/{_paren(den_str)}"
+        terms.append(_summand(poly_terms_str(enumerate(npoly), "q"),
+                              _monomial([(uvar, iv[0]), (mvar, jv[0])])))
+    return _quotient(_join(terms),
+                     poly_terms_str([(k, x * dlcm) for k, x in enumerate(den)],
+                                    "q"))
 
 
-def _symbol_vars(domain):
-    return ("w", "n") if domain.kind == "polyy" else ("u", "m")
+def symbol_rows(op):
+    """(degree, printed symbol) for each graded part of `op`, by degree.
+    The symbol variables are w, n on k[y] and u, m elsewhere."""
+    uvar, mvar = ("w", "n") if op.domain.kind == "polyy" else ("u", "m")
+    return [(e, symbol_str(op.parts[e], uvar, mvar)) for e in sorted(op.parts)]
+
+
+def _rows_str(rows):
+    return "; ".join(f"[e={e}] {s}" for e, s in rows) or "0"
 
 
 def operator_str(op):
-    if not op.parts:
-        return "0"
-    uvar, mvar = _symbol_vars(op.domain)
-    lines = []
-    for e in sorted(op.parts):
-        key = e[0] if op.domain.nvars == 1 else e
-        lines.append(f"[e={key}] {symbol_str(op.parts[e], uvar, mvar)}")
-    return "; ".join(lines)
+    one = op.domain.nvars == 1
+    return _rows_str((e[0] if one else e, s) for e, s in symbol_rows(op))
 
 
 def truncated_operator_str(op):
-    if not op.parts:
-        return "0"
-    lines = []
-    for e in sorted(op.parts):
-        f = op.parts[e]
-        terms = []
-        for j in sorted(f, reverse=True):
-            cs = str(f[j])
-            mono = "" if j == 0 else ("m" if j == 1 else f"m^{j}")
-            if not mono:
-                terms.append(cs if _is_simple(cs) else f"({cs})")
-            else:
-                terms.append(_coeff_prefix(cs) + mono)
-        lines.append(f"[e={e}] {_join(terms)}")
-    return "; ".join(lines)
+    def part(f):
+        return _join([_summand(truncated_scalar_str(f[j]), _monomial([("m", j)]))
+                      for j in sorted(f, reverse=True)])
+
+    return _rows_str((e, part(op.parts[e])) for e in sorted(op.parts))

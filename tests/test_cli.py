@@ -113,3 +113,18 @@ def test_unknown_suite_exits_3(capsys):
     rc, _, err = run(capsys, "verify", "no-such-suite")
     assert rc == 3
     assert "UnknownSuite" in err
+
+
+@pytest.mark.parametrize("argv,rc,name", [
+    (["eval", "x3", "--ring", "n=2"], 3, "UnsupportedGenerator"),
+    (["eval", "x0", "--ring", "n=2"], 3, "UnsupportedGenerator"),
+    (["eval", "D5[1]", "--ring", "n=2"], 3, "UnsupportedGenerator"),
+    (["eval", "s[1,2,3]", "--ring", "n=2"], 3, "UnsupportedGenerator"),
+    (["uq", "E", "--level", "-1"], 2, "parse error"),
+    (["uq", "E", "--level", "0"], 2, "parse error"),
+])
+def test_bad_input_is_a_typed_failure(capsys, argv, rc, name):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (rc, "")
+    assert name in err
+    assert "Traceback" not in err

@@ -10,6 +10,10 @@ To record the transcripts of the code on PYTHONPATH (only when an output
 change is intended):
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
+
+The recorder first lists each existing transcript whose recorded output
+it is about to change, so an unintended change shows before it is
+committed.
 """
 
 import contextlib
@@ -61,7 +65,12 @@ CASES = [
     ["uq", "E^-1"],
     ["uq", "bracket(E, F, 1)"],
 ] + [["verify", s, "--cases", "6", "--max-degree", "2", "--seed", "7",
-      "--json"] for s in SUITES]
+      "--json"] for s in SUITES] + [
+    # denominators that are products print parenthesized
+    ["eval", "tau/(7*q^2)"],
+    ["eval", "s[1]/7 + q^-2*tau"],
+    ["eval", "3*s[1,1]*D1[0]*D2[0]", "--ring", "n=2"],
+]
 
 
 def transcript(argv):
@@ -83,6 +92,10 @@ def test_cli_matches_golden(argv):
 
 
 if __name__ == "__main__":
+    old = _recorded() if GOLDEN.exists() else {}
+    new = [transcript(a) for a in CASES]
+    for t in new:
+        if old.get(tuple(t["argv"]), t) != t:
+            print("changes recorded output:", " ".join(t["argv"]))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([transcript(a) for a in CASES], indent=1)
-                      + "\n")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")

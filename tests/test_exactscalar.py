@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdops.exactscalar import (ExactScalar, scalar, q_number, q_factorial,
                                TruncatedScalar)
-from qdops.errors import DivisionByZero
+from qdops.errors import DivisionByZero, DomainMismatch
 
 q = sympy.Symbol("q")
 
@@ -125,6 +125,12 @@ def test_truncation_values():
     # 1/(q+1) = 1/2 - t/4 + t^2/8 - ...
     half = (scalar(1) / (ExactScalar.q_power(1) + 1)).truncate(3)
     assert half.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+
+
+@pytest.mark.parametrize("level", [0, -1])
+def test_truncation_level_below_one_is_a_typed_error(level):
+    with pytest.raises(DomainMismatch):
+        scalar(3).truncate(level)
 
 
 def test_q_numbers():

@@ -6,7 +6,7 @@ import pytest
 from qdops.algorithms import word_expansion
 from qdops.cli import main
 from qdops.exactscalar import scalar
-from qdops.opexpr import EAdd, EGen, evaluate
+from qdops.opexpr import EAdd, EGen, evaluate, parse
 from qdops.opsym import equals, generator
 from qdops.qgroup import alpha
 from qdops.rings import POLY_X
@@ -52,3 +52,11 @@ def test_deep_input_through_cli(argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "5000" in out
+
+
+def test_deep_trees_compare_and_hash_by_identity():
+    # expressions compare and hash by identity, without walking the tree
+    text = "+".join(["x"] * 5000)
+    a, b = parse(text), parse(text)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

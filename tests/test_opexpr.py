@@ -1,6 +1,9 @@
 """Expression grammar, evaluation, and degree-zero decomposition."""
 
+import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from qdops.exactscalar import ExactScalar, scalar
 from qdops.opexpr import (parse, evaluate, expr_str, decompose_degree0, EAdd,
                           EBracket, EDiv, EGen, EMul, ENeg, ENum, EPow, ESub)
 from qdops.opsym import GradedOperator, Symbol, generator, compose, equals
+from qdops.render import operator_str
 from qdops.rings import POLY_X, POLY_Y, LAURENT_X, poly_n, RingElement
 from qdops.errors import ParseError, NotDegreeZero, UnsupportedGenerator
 
@@ -31,10 +35,11 @@ def test_parse_print_round_trip(text):
 
 
 # scalars chosen for their printed forms: q^2 is a power, -q^2 and -3 a
-# negated atom, the rest need parentheses
+# negated atom, the rest need parentheses; q^-2/7 gives a symbol the
+# denominator 7*q^2
 ROUND_TRIP_SCALARS = [scalar(0), scalar(1), scalar(-3), scalar("1/2"),
                       qp(1), qp(2), qp(3), -qp(2), qp(-1),
-                      (qp(1) + 1) / (qp(1) - 1)]
+                      (qp(1) + 1) / (qp(1) - 1), qp(-2) / 7]
 INVERTIBLE = [s for s in ROUND_TRIP_SCALARS if not s.is_zero()]
 
 leaves = st.one_of(
@@ -83,6 +88,77 @@ def trees(draw):
 def test_printed_trees_reparse_to_the_same_operator(e):
     text = expr_str(e)
     assert equals(evaluate(parse(text)), evaluate(e)), text
+
+
+def read_printed(text, at):
+    """Value of printed engine text under the usual precedence, with each
+    integer a Fraction and the names in `at` bound to their values."""
+    src = re.sub(r"(?<![A-Za-z])\d+", lambda g: f"F({g.group()})",
+                 text.replace("^", "**"))
+    return eval(src, {"__builtins__": {}, "F": Fraction}, at)
+
+
+def scalar_at(s, qs):
+    """c*N/D of an engine scalar at q_i = qs[i], from its coefficients."""
+    def poly(p):
+        items = (p.items() if isinstance(p, dict)
+                 else (((i,), c) for i, c in enumerate(p)))
+        return sum(c * math.prod(x ** k for x, k in zip(qs, e))
+                   for e, c in items)
+    return s.c * poly(s.num) / poly(s.den)
+
+
+def assert_printed_symbols_read_back(op):
+    """Each `[e=k] symbol` chunk of operator_str, read with the usual
+    precedence at q_i = i + 2, u_i = q_i^m, m_i = m for m in 0..4, equals
+    the engine's symbol there, computed from its coefficients."""
+    text = operator_str(op)
+    nv = op.domain.nvars
+    uvar, mvar = ("w", "n") if op.domain.kind == "polyy" else ("u", "m")
+    qs = [Fraction(i + 2) for i in range(nv)]
+    names = ["q"] if nv == 1 else [f"q{i + 1}" for i in range(nv)]
+    suffix = [""] if nv == 1 else [str(i + 1) for i in range(nv)]
+    for m in range(5):
+        at = {}
+        for qv, name, sfx in zip(qs, names, suffix):
+            at.update({name: qv, uvar + sfx: qv ** m, mvar + sfx: Fraction(m)})
+        printed = {}
+        if text != "0":
+            for chunk in text.split("; "):
+                head, body = chunk.split("] ", 1)
+                printed[head[len("[e="):]] = read_printed(body, at)
+        engine = {
+            str(e[0] if nv == 1 else e): sum(
+                scalar_at(c, qs) * math.prod(qv ** (m * i) for qv, i in zip(qs, iv))
+                * math.prod(Fraction(m) ** j for j in jv)
+                for (iv, jv), c in sym.coeffs.items())
+            for e, sym in op.parts.items()}
+        assert printed == engine, (text, m)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(trees(), st.sampled_from([POLY_X, POLY_Y]))
+def test_printed_symbols_read_back(e, domain):
+    assert_printed_symbols_read_back(evaluate(e, domain))
+
+
+@pytest.mark.parametrize("text,ring,printed", [
+    ("tau/(7*q^2)", POLY_X, "[e=0] m/(7*q^2)"),
+    ("s[1]/7 + q^-2*tau", POLY_X, "[e=0] (q^2*u + 7*m)/(7*q^2)"),
+    ("3*s[1,1]*D1[0]*D2[0]", poly_n(2),
+     "[e=(-1, -1)] (3/(q1*q2))*u1*u2*m1*m2"),
+])
+def test_denominator_products_are_parenthesized(text, ring, printed):
+    op = evaluate(parse(text), ring)
+    assert operator_str(op) == printed
+    assert_printed_symbols_read_back(op)
+
+
+def test_scalar_denominator_product_is_parenthesized():
+    s = qp(-1, 2, 0) * qp(-1, 2, 1) * 3
+    assert str(s) == "3/(q1*q2)"
+    at = {"q1": Fraction(2), "q2": Fraction(3)}
+    assert read_printed(str(s), at) == scalar_at(s, [2, 3])
 
 
 def test_scalar_power_base_is_parenthesized():
