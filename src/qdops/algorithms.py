@@ -7,7 +7,9 @@ left multiplications, brackets and a final scale.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
+from ._terms import collect
 from .errors import CompatibilityViolation, EngineError, ZeroOperator
 from .exactscalar import ExactScalar, scalar
 from .opexpr import (
@@ -122,22 +124,9 @@ def verify_integration(word, b, Q=None, domain=POLY_X):
     return Q, equals(lhs, rhs)
 
 
-def _wsum(a, b, negate_b):
-    out = dict(a)
-    for w, c in b.items():
-        c = -c if negate_b else c
-        out[w] = out[w] + c if w in out else c
-    return {w: c for w, c in out.items() if not c.is_zero()}
-
-
 def _wprod(a, b):
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            c = c1 * c2
-            out[w] = out[w] + c if w in out else c
-    return {w: c for w, c in out.items() if not c.is_zero()}
+    return collect((w1 + w2, c1 * c2)
+                   for w1, c1 in a.items() for w2, c2 in b.items())
 
 
 class _WordExpansion(_Algebra):
@@ -154,10 +143,10 @@ class _WordExpansion(_Algebra):
         raise EngineError(f"word expansion met leaf {e.name!r}")
 
     def add(self, e, a, b):
-        return _wsum(a, b, False)
+        return collect(chain(a.items(), b.items()))
 
     def sub(self, e, a, b):
-        return _wsum(a, b, True)
+        return collect(chain(a.items(), ((w, -c) for w, c in b.items())))
 
     def neg(self, e, a):
         return {w: -c for w, c in a.items()}
@@ -353,11 +342,8 @@ def nd_term(coeff, xexp, word=(), twist=None, nvars=None):
 
 
 def nd_consolidate(terms):
-    acc = {}
-    for c, xe, w, tw in terms:
-        k = (xe, w, tw)
-        acc[k] = acc[k] + c if k in acc else c
-    return [(c, xe, w, tw) for (xe, w, tw), c in acc.items() if not c.is_zero()]
+    acc = collect(((xe, w, tw), c) for c, xe, w, tw in terms)
+    return [(c, xe, w, tw) for (xe, w, tw), c in acc.items()]
 
 
 def _qpi(e, n, i):

@@ -219,7 +219,8 @@ class ExactScalar:
         return self.num == one and self.den == one
 
     def as_fraction(self):
-        assert self.is_rational()
+        if not self.is_rational():
+            raise DomainMismatch(f"{self} is not a rational number")
         return self.c
 
     # -- arithmetic ----------------------------------------------------------
@@ -486,7 +487,9 @@ class TruncatedScalar:
     __slots__ = ("level", "coeffs")
 
     def __init__(self, level, coeffs):
-        assert len(coeffs) == level
+        if len(coeffs) != level:
+            raise DomainMismatch(
+                f"{len(coeffs)} coefficients at truncation level {level}")
         self.level = level
         self.coeffs = tuple(Fraction(c) for c in coeffs)
 

@@ -13,7 +13,8 @@ Grammar (operator mode):
 with `q` and integer/rational literals as scalars.  On the inverse-degree
 ring the same leaves read y-side (`x` ~ y, `s[a]` ~ sigma_y(a), `D[a]` ~
 dbeta_y(a)); with n variables the leaves are `x1..xn`, `s[a1,..,an]` and
-`Di[k]`.  Division is parsed at term level and must divide by a scalar.
+`Di[k]`, and the scalars `q1..qn` take the place of `q`.  Division is
+parsed at term level and must divide by a scalar.
 
 Every interpretation of a tree (printing, evaluation here; shapes,
 D-word expansion, the U_q morphisms and the quantum-plane action
@@ -94,7 +95,8 @@ class ENum(OperatorExpr):
 
 class EGen(OperatorExpr):
     """A generator leaf: name in {x, tau, s, D, x_i, sigma_vec, dbeta_i,
-    E, F, K, Kinv, Ediv, Fdiv}; arg as the generator wants it."""
+    q_i, E, F, K, Kinv, Ediv, Fdiv}; arg as the generator wants it (q_i,
+    the scalar q_{i+1} of k[x_1..x_n], evaluates to a scalar)."""
 
     _op = "gen"
 
@@ -253,8 +255,8 @@ class _Render(_Algebra):
             return n, _PREC_ATOM
         if n in ("s", "D", "Ediv", "Fdiv"):
             return f"{n}[{a}]", _PREC_ATOM
-        if n == "x_i":
-            return f"x{a + 1}", _PREC_ATOM
+        if n in ("x_i", "q_i"):
+            return f"{n[0]}{a + 1}", _PREC_ATOM
         if n == "sigma_vec":
             return "s[" + ",".join(str(v) for v in a) + "]", _PREC_ATOM
         if n == "dbeta_i":
@@ -423,8 +425,8 @@ def _parse_atom(tk, mode):
         a = _parse_int(tk)
         tk.expect("]")
         return EGen("D", a)
-    if len(name) > 1 and name[0] == "x" and name[1:].isdigit():
-        return EGen("x_i", int(name[1:]) - 1)
+    if len(name) > 1 and name[0] in "xq" and name[1:].isdigit():
+        return EGen(name[0] + "_i", int(name[1:]) - 1)
     if len(name) > 1 and name[0] == "D" and name[1:].isdigit():
         i = int(name[1:]) - 1
         tk.expect("[")
@@ -477,29 +479,24 @@ def parse(text, mode="operator"):
 # evaluation into graded operators
 # ---------------------------------------------------------------------------
 
+# one-variable leaves; on k[y] the generator reads them through the mirror
+_LEAF_GENERATORS = {"x": "x", "tau": "tau", "s": "sigma", "D": "dbeta"}
+
+
 def _gen_on(domain, name, arg):
     if domain.kind == "polyn":
         if name in ("x_i", "sigma_vec", "dbeta_i"):
             return generator(name, domain, arg)
+        if name == "q_i":
+            if not 0 <= arg < domain.nvars:
+                raise UnsupportedGenerator(f"no scalar q{arg + 1} on {domain!r}")
+            return ExactScalar.q_power(1, domain.nvars, arg)
         raise UnsupportedGenerator(
             f"leaf {name!r} is not available with n variables")
-    if domain.kind == "polyy":
-        table = {"x": ("y", None), "s": ("sigma_y", arg), "D": ("dbeta_y", arg)}
-        if name == "tau":
-            return GradedOperator(domain, {(0,): Symbol.term(1, 0, 1)})
-        if name in table:
-            gname, garg = table[name]
-            return generator(gname, domain, garg)
-        raise UnsupportedGenerator(f"leaf {name!r} is not available on k[y]")
-    if name == "x":
-        return generator("x", domain)
-    if name == "tau":
-        return generator("tau", domain)
-    if name == "s":
-        return generator("sigma", domain, arg)
-    if name == "D":
-        return generator("dbeta", domain, arg)
-    raise UnsupportedGenerator(f"leaf {name!r} is not available on {domain!r}")
+    if name not in _LEAF_GENERATORS:
+        where = "k[y]" if domain.kind == "polyy" else repr(domain)
+        raise UnsupportedGenerator(f"leaf {name!r} is not available on {where}")
+    return generator(_LEAF_GENERATORS[name], domain, arg)
 
 
 def _promote(v, domain):

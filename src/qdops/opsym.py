@@ -16,17 +16,23 @@ Composition never leaves the picture:
 
 coordinatewise in several variables.  The inverse-degree ring k[y] uses
 the same machinery with (u, m) read as (w, n) = (q^n, n) in the y-exponent.
+
+Symbols, operators and truncated operators are term maps: they merge
+equal keys only in their constructors, through `_terms.collect`, and
+their arithmetic hands the constructor (key, value) terms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
+from ._terms import collect, nest, pairs
 from .errors import (
     DomainMismatch,
+    EngineError,
     NotIntegralAtOne,
-    OutOfSupport,
     UnsupportedGenerator,
 )
 from .exactscalar import ExactScalar, TruncatedScalar, scalar
@@ -35,7 +41,8 @@ from .rings import POLY_X, POLY_Y, LAURENT_X, RingElement, RingTag
 
 def _tup(domain, e):
     if isinstance(e, tuple):
-        assert len(e) == domain.nvars
+        if len(e) != domain.nvars:
+            raise DomainMismatch(f"shift {e} on {domain!r}")
         return e
     # plain integers broadcast across the coordinates
     return (int(e),) * domain.nvars
@@ -56,14 +63,13 @@ class Symbol:
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars, coeffs):
+        """coeffs: a dict or an iterable of ((iv, jv), scalar) terms."""
         self.nvars = nvars
-        clean = {}
-        for (iv, jv), c in coeffs.items():
-            if not c.is_zero():
-                assert len(iv) == nvars and len(jv) == nvars
-                key = (tuple(iv), tuple(jv))
-                clean[key] = clean[key] + c if key in clean else c
-        self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
+        self.coeffs = collect(coeffs)
+        for iv, jv in self.coeffs:
+            if len(iv) != nvars or len(jv) != nvars:
+                raise DomainMismatch(
+                    f"symbol term {(iv, jv)} in {nvars} variables")
 
     @staticmethod
     def zero(nvars=1):
@@ -85,10 +91,8 @@ class Symbol:
         return not self.coeffs
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return Symbol(self.nvars, out)
+        return Symbol(self.nvars,
+                      chain(self.coeffs.items(), other.coeffs.items()))
 
     def __neg__(self):
         return Symbol(self.nvars, {k: -c for k, c in self.coeffs.items()})
@@ -100,14 +104,11 @@ class Symbol:
         if isinstance(other, (int, ExactScalar)):
             s = scalar(other, self.nvars)
             return Symbol(self.nvars, {k: c * s for k, c in self.coeffs.items()})
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (tuple(a + b for a, b in zip(i1, i2)),
-                     tuple(a + b for a, b in zip(j1, j2)))
-                p = c1 * c2
-                out[k] = out[k] + p if k in out else p
-        return Symbol(self.nvars, out)
+        return Symbol(self.nvars, (
+            ((tuple(a + b for a, b in zip(i1, i2)),
+              tuple(a + b for a, b in zip(j1, j2))), c1 * c2)
+            for (i1, j1), c1 in self.coeffs.items()
+            for (i2, j2), c2 in other.coeffs.items()))
 
     __rmul__ = __mul__
 
@@ -119,47 +120,40 @@ class Symbol:
     def subst_shift(self, e):
         """u |-> q^e u, m |-> m + e (the inner-shift substitution)."""
         n = self.nvars
-        out = {}
-        for (iv, jv), c in self.coeffs.items():
-            for v in range(n):
-                if e[v] and iv[v]:
-                    c = c * ExactScalar.q_power(e[v] * iv[v], n, v)
-            # expand prod_v (m_v + e_v)^{j_v}
-            partial = {(): c}
-            for v in range(n):
-                nxt = {}
-                for stem, cc in partial.items():
-                    if e[v] == 0 or jv[v] == 0:
-                        key = stem + (jv[v],)
-                        nxt[key] = nxt[key] + cc if key in nxt else cc
+
+        def terms():
+            for (iv, jv), c in self.coeffs.items():
+                for v in range(n):
+                    if e[v] and iv[v]:
+                        c = c * ExactScalar.q_power(e[v] * iv[v], n, v)
+                # expand prod_v (m_v + e_v)^{j_v}; the stems stay distinct
+                partial = [((), c)]
+                for v in range(n):
+                    j = jv[v]
+                    if e[v] == 0 or j == 0:
+                        partial = [(stem + (j,), cc) for stem, cc in partial]
                         continue
-                    for r in range(jv[v] + 1):
-                        w = math.comb(jv[v], r) * e[v] ** (jv[v] - r)
-                        key = stem + (r,)
-                        add = cc * w
-                        nxt[key] = nxt[key] + add if key in nxt else add
-                partial = nxt
-            for jnew, cc in partial.items():
-                k = (iv, jnew)
-                out[k] = out[k] + cc if k in out else cc
-        return Symbol(n, out)
+                    ws = [math.comb(j, r) * e[v] ** (j - r) for r in range(j + 1)]
+                    partial = [(stem + (r,), cc * w)
+                               for stem, cc in partial for r, w in enumerate(ws)]
+                for jnew, cc in partial:
+                    yield (iv, jnew), cc
+
+        return Symbol(n, terms())
 
     def substitute_coord(self, v, mval):
         """Set m_v = mval (so u_v = q_v^mval); coordinate v goes inert."""
         n = self.nvars
-        out = {}
-        for (iv, jv), c in self.coeffs.items():
-            w = c
-            if iv[v]:
-                w = w * ExactScalar.q_power(iv[v] * mval, n, v)
-            if jv[v]:
-                w = w * (mval ** jv[v])
-            k = (iv[:v] + (0,) + iv[v + 1:], jv[:v] + (0,) + jv[v + 1:])
-            if k in out:
-                out[k] = out[k] + w
-            else:
-                out[k] = w
-        return Symbol(n, out)
+
+        def terms():
+            for (iv, jv), w in self.coeffs.items():
+                if iv[v]:
+                    w = w * ExactScalar.q_power(iv[v] * mval, n, v)
+                if jv[v]:
+                    w = w * (mval ** jv[v])
+                yield (iv[:v] + (0,) + iv[v + 1:], jv[:v] + (0,) + jv[v + 1:]), w
+
+        return Symbol(n, terms())
 
     def eval_at(self, mvec):
         """The scalar s(q^m, m) at an integer exponent (vector)."""
@@ -199,14 +193,13 @@ class GradedOperator:
     __slots__ = ("domain", "parts")
 
     def __init__(self, domain, parts):
+        """parts: a dict or an iterable of (shift, Symbol) terms."""
         self.domain = domain
-        clean = {}
-        for e, s in parts.items():
-            e = _tup(domain, e)
-            if not s.is_zero():
-                assert s.nvars == domain.nvars
-                clean[e] = clean[e] + s if e in clean else s
-        self.parts = {e: s for e, s in clean.items() if not s.is_zero()}
+        self.parts = collect((_tup(domain, e), s) for e, s in pairs(parts))
+        for s in self.parts.values():
+            if s.nvars != domain.nvars:
+                raise DomainMismatch(
+                    f"symbol in {s.nvars} variables on {domain!r}")
 
     @staticmethod
     def zero(domain):
@@ -238,10 +231,8 @@ class GradedOperator:
 
     def __add__(self, other):
         o = self._chk(other)
-        out = dict(self.parts)
-        for e, s in o.parts.items():
-            out[e] = out[e] + s if e in out else s
-        return GradedOperator(self.domain, out)
+        return GradedOperator(self.domain,
+                              chain(self.parts.items(), o.parts.items()))
 
     def __neg__(self):
         return GradedOperator(self.domain, {e: -s for e, s in self.parts.items()})
@@ -255,13 +246,10 @@ class GradedOperator:
             return GradedOperator(self.domain,
                                   {e: s * c for e, s in self.parts.items()})
         o = self._chk(other)
-        out = {}
-        for e1, s1 in self.parts.items():      # outer (applied second)
-            for e2, s2 in o.parts.items():     # inner (applied first)
-                e = tuple(a + b for a, b in zip(e1, e2))
-                sym = s2 * s1.subst_shift(e2)
-                out[e] = out[e] + sym if e in out else sym
-        return GradedOperator(self.domain, out)
+        return GradedOperator(self.domain, (
+            (tuple(a + b for a, b in zip(e1, e2)), s2 * s1.subst_shift(e2))
+            for e1, s1 in self.parts.items()      # outer (applied second)
+            for e2, s2 in o.parts.items()))       # inner (applied first)
 
     def __rmul__(self, other):
         if isinstance(other, (int, ExactScalar)):
@@ -269,7 +257,8 @@ class GradedOperator:
         return NotImplemented
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise DomainMismatch(f"operator power {k}: powers need k >= 0")
         out = GradedOperator.identity(self.domain)
         for _ in range(k):
             out = out * self
@@ -288,19 +277,19 @@ class GradedOperator:
     def apply(self, p):
         if not isinstance(p, RingElement) or p.tag != self.domain:
             raise DomainMismatch("operand is not an element of the operator's ring")
-        nv = self.domain.nvars
-        out = {}
-        zero = ExactScalar.from_int(0, nv)
-        for m, c in p.terms.items():
-            mv = m if isinstance(m, tuple) else (m,)
-            for e, s in self.parts.items():
-                val = s.eval_at(mv)
-                if val.is_zero():
-                    continue
-                tgt = tuple(a + b for a, b in zip(mv, e))
-                key = tgt if nv > 1 else tgt[0]
-                out[key] = out.get(key, zero) + c * val
-        return RingElement(self.domain, out)  # ctor raises OutOfSupport
+        polyn = self.domain.kind == "polyn"    # tuple exponents
+
+        def images():
+            for m, c in p.terms.items():
+                mv = m if polyn else (m,)
+                for e, s in self.parts.items():
+                    val = s.eval_at(mv)
+                    if not val.is_zero():
+                        tgt = tuple(a + b for a, b in zip(mv, e))
+                        yield (tgt if polyn else tgt[0]), c * val
+
+        # the constructor checks the merged exponents (OutOfSupport)
+        return RingElement(self.domain, images())
 
     def check_preserves(self):
         """The defining support condition: parts with a negative shift kill
@@ -332,17 +321,29 @@ class GradedOperator:
 # generators
 # ---------------------------------------------------------------------------
 
+# k[y] is k[x] under the mirror a -> -a: on k[y], a generator named by its
+# k[y] name or by its k[x] partner's has the parts of the k[x] generator
+# at the negated argument
+_MIRROR = {"y": "x", "partial_y": "dbeta", "sigma_y": "sigma",
+           "dbeta_y": "dbeta"}
+
+
 def generator(name, domain, arg=None):
     """The named generator as a GradedOperator on `domain`.
 
     one variable, direct degree:  x, tau, sigma(a), dbeta(a)
     one variable, inverse degree: y, partial_y, sigma_y(a), dbeta_y(a)
+                                  (or x, dbeta(0), sigma(a), dbeta(a)), tau
     n variables:                  x_i(i), sigma_vec(a), dbeta_i((i, k))
     """
     nv = domain.nvars
     q1 = ExactScalar.from_int(1, nv)
 
-    if domain.kind in ("polyx", "laurent"):
+    if domain.kind == "polyy":
+        name = _MIRROR.get(name, name)
+        arg = None if arg is None else -int(arg)
+
+    if domain.kind in ("polyx", "laurent", "polyy"):
         if name == "x":
             return GradedOperator(domain, {(1,): Symbol.constant(1)})
         if name == "tau":
@@ -356,23 +357,6 @@ def generator(name, domain, arg=None):
                 return GradedOperator(domain, {(-1,): Symbol.term(1, 0, 1)})
             d = ExactScalar.q_power(a) - 1
             sym = Symbol.term(d.inverse(), a, 0) + Symbol.term(-d.inverse(), 0, 0)
-            return GradedOperator(domain, {(-1,): sym})
-        raise UnsupportedGenerator(f"no generator {name!r} on {domain!r}")
-
-    if domain.kind == "polyy":
-        if name == "y":
-            return GradedOperator(domain, {(1,): Symbol.constant(1)})
-        if name == "partial_y":
-            return GradedOperator(domain, {(-1,): Symbol.term(1, 0, 1)})
-        if name == "sigma_y":
-            a = int(arg)
-            return GradedOperator(domain, {(0,): Symbol.term(1, -a, 0)})
-        if name == "dbeta_y":
-            a = int(arg) if arg is not None else 0
-            if a == 0:
-                return GradedOperator(domain, {(-1,): Symbol.term(1, 0, 1)})
-            d = ExactScalar.q_power(-a) - 1
-            sym = Symbol.term(d.inverse(), -a, 0) + Symbol.term(-d.inverse(), 0, 0)
             return GradedOperator(domain, {(-1,): sym})
         raise UnsupportedGenerator(f"no generator {name!r} on {domain!r}")
 
@@ -418,9 +402,10 @@ def compose(phi, psi):
 
 
 def linear_combine(terms):
-    """terms: iterable of (scalar, operator)."""
+    """terms: nonempty iterable of (scalar, operator)."""
     terms = list(terms)
-    assert terms
+    if not terms:
+        raise DomainMismatch("linear_combine needs at least one term")
     out = None
     for c, op in terms:
         piece = op * scalar(c, op.domain.nvars)
@@ -466,17 +451,10 @@ def extend_to_laurent(phi):
     if phi.domain == POLY_X:
         return GradedOperator(LAURENT_X, dict(phi.parts))
     if phi.domain == POLY_Y:
-        out = {}
-        for (d,), s in phi.parts.items():
-            coeffs = {}
-            for ((i,), (j,)), c in s.coeffs.items():
-                k = ((-i,), (j,))
-                w = c if j % 2 == 0 else -c
-                coeffs[k] = coeffs[k] + w if k in coeffs else w
-            e = (-d,)
-            sym = Symbol(1, coeffs)
-            out[e] = out[e] + sym if e in out else sym
-        return GradedOperator(LAURENT_X, out)
+        return GradedOperator(LAURENT_X, (
+            ((-d,), Symbol(1, ((((-i,), (j,)), -c if j % 2 else c)
+                               for ((i,), (j,)), c in s.coeffs.items())))
+            for (d,), s in phi.parts.items()))
     raise DomainMismatch("only the one-variable rings extend to the Laurent ring")
 
 
@@ -504,15 +482,9 @@ def _binom_mpoly(i, k):
 
 def _one_plus_t_pow_im(i, level):
     """(1+t)^{i m} mod t^level as {m-degree: TruncatedScalar}."""
-    out = {}
-    for k in range(level):
-        for d, c in enumerate(_binom_mpoly(i, k)):
-            if c:
-                ts = out.get(d)
-                coeffs = list(ts.coeffs) if ts else [Fraction(0)] * level
-                coeffs[k] += c
-                out[d] = TruncatedScalar(level, coeffs)
-    return out
+    return collect(
+        (d, TruncatedScalar(level, [c if r == k else 0 for r in range(level)]))
+        for k in range(level) for d, c in enumerate(_binom_mpoly(i, k)) if c)
 
 
 class TruncatedOperator:
@@ -521,16 +493,14 @@ class TruncatedOperator:
     __slots__ = ("domain", "level", "parts")
 
     def __init__(self, domain, level, parts):
-        assert domain.nvars == 1
+        """parts: {shift: {m-degree: TruncatedScalar}} or an iterable of
+        ((shift, m-degree), TruncatedScalar) terms."""
+        if domain.nvars != 1:
+            raise DomainMismatch(
+                "truncated operators live on the one-variable rings")
         self.domain = domain
         self.level = level
-        clean = {}
-        for e, f in parts.items():
-            e = int(e[0]) if isinstance(e, tuple) else int(e)
-            g = {j: c for j, c in f.items() if not c.is_zero()}
-            if g:
-                clean[e] = g
-        self.parts = clean
+        self.parts = nest(parts)
 
     @staticmethod
     def zero(domain, level):
@@ -549,34 +519,28 @@ class TruncatedOperator:
             raise DomainMismatch("truncated operators are not comparable")
         return other
 
+    def _terms(self):
+        return (((e, j), c) for e, f in self.parts.items() for j, c in f.items())
+
     def __add__(self, other):
         o = self._chk(other)
-        out = {e: dict(f) for e, f in self.parts.items()}
-        for e, f in o.parts.items():
-            g = out.setdefault(e, {})
-            for j, c in f.items():
-                g[j] = g[j] + c if j in g else c
-        return TruncatedOperator(self.domain, self.level, out)
+        return TruncatedOperator(self.domain, self.level,
+                                 chain(self._terms(), o._terms()))
 
     def __neg__(self):
-        return TruncatedOperator(
-            self.domain, self.level,
-            {e: {j: -c for j, c in f.items()} for e, f in self.parts.items()})
+        return TruncatedOperator(self.domain, self.level,
+                                 ((k, -c) for k, c in self._terms()))
 
     def __sub__(self, other):
         return self + (-self._chk(other))
 
     def __mul__(self, other):
         o = self._chk(other)
-        out = {}
-        for e1, f1 in self.parts.items():      # outer
-            for e2, f2 in o.parts.items():     # inner
-                prod = _mp_mul(f2, _mp_shift(f1, e2, self.level), self.level)
-                e = e1 + e2
-                g = out.setdefault(e, {})
-                for j, c in prod.items():
-                    g[j] = g[j] + c if j in g else c
-        return TruncatedOperator(self.domain, self.level, out)
+        return TruncatedOperator(self.domain, self.level, (
+            ((e1 + e2, j), c)
+            for e1, f1 in self.parts.items()      # outer
+            for e2, f2 in o.parts.items()         # inner
+            for j, c in _mp_mul(f2, _mp_shift(f1, e2)).items()))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedOperator):
@@ -587,15 +551,11 @@ class TruncatedOperator:
 
     def bracket_with_x(self):
         """[phi, x]: per part, (e, f(m)) |-> (e+1, f(m+1) - f(m))."""
-        out = {}
-        for e, f in self.parts.items():
-            diff = {}
-            shifted = _mp_shift(f, 1, self.level)
-            for j in set(f) | set(shifted):
-                z = TruncatedScalar.zero(self.level)
-                diff[j] = shifted.get(j, z) - f.get(j, z)
-            out[e + 1] = diff
-        return TruncatedOperator(self.domain, self.level, out)
+        return TruncatedOperator(self.domain, self.level, (
+            ((e + 1, j), c)
+            for e, f in self.parts.items()
+            for g in (_mp_shift(f, 1), {j: -c for j, c in f.items()})
+            for j, c in g.items()))
 
     def max_m_degree(self):
         return max((max(f) for f in self.parts.values()), default=0)
@@ -608,27 +568,26 @@ class TruncatedOperator:
         return truncated_operator_str(self)
 
 
-def _mp_shift(f, e, level):
+def _mp_shift(f, e):
     """f(m + e) for an m-polynomial with truncated coefficients."""
     if e == 0:
-        return dict(f)
-    out = {}
-    for j, c in f.items():
-        for r in range(j + 1):
-            w = math.comb(j, r) * e ** (j - r)
-            add = c * Fraction(w)
-            out[r] = out[r] + add if r in out else add
-    return out
+        return f
+    return collect((r, c * Fraction(math.comb(j, r) * e ** (j - r)))
+                   for j, c in f.items() for r in range(j + 1))
 
 
-def _mp_mul(f, g, level):
-    out = {}
-    for j1, c1 in f.items():
-        for j2, c2 in g.items():
-            j = j1 + j2
-            p = c1 * c2
-            out[j] = out[j] + p if j in out else p
-    return out
+def _mp_mul(f, g):
+    return collect((j1 + j2, c1 * c2)
+                   for j1, c1 in f.items() for j2, c2 in g.items())
+
+
+def _truncated_terms(s, clear, level):
+    """(m-degree, coefficient) terms of the symbol s * clear expanded at
+    q = 1 + t to order t^level."""
+    for ((i,), (j,)), c in s.coeffs.items():
+        tau = (c * clear).truncate(level)
+        for d, ts in _one_plus_t_pow_im(i, level).items():
+            yield d + j, tau * ts
 
 
 def truncate_operator(phi, n):
@@ -643,30 +602,21 @@ def truncate_operator(phi, n):
     if phi.domain.nvars != 1:
         raise DomainMismatch("truncation is defined for the one-variable rings")
     qm1 = ExactScalar.q_power(1) - 1
-    out = {}
-    for e, s in phi.parts.items():
+    terms = []
+    for (e,), s in phi.parts.items():
         worst = 0
         for c in s.coeffs.values():
             v = c.valuation_at_1()
             if v < 0:
                 worst = max(worst, -int(v))
-        level = n + worst
-        clear = qm1 ** worst
-        acc = {}
-        for ((i,), (j,)), c in s.coeffs.items():
-            tau = (c * clear).truncate(level)
-            for d, ts in _one_plus_t_pow_im(i, level).items():
-                k = d + j
-                add = tau * ts
-                acc[k] = acc[k] + add if k in acc else add
+        acc = collect(_truncated_terms(s, qm1 ** worst, n + worst))
         for j, ts in acc.items():
             if any(ts.coeffs[r] != 0 for r in range(worst)):
                 raise NotIntegralAtOne(
-                    f"symbol at shift {e[0]} has a pole at q = 1")
-        part = {j: TruncatedScalar(n, ts.coeffs[worst:worst + n])
-                for j, ts in acc.items()}
-        out[e] = part
-    return TruncatedOperator(phi.domain, n, out)
+                    f"symbol at shift {e} has a pole at q = 1")
+        terms.extend(((e, j), TruncatedScalar(n, ts.coeffs[worst:worst + n]))
+                     for j, ts in acc.items())
+    return TruncatedOperator(phi.domain, n, terms)
 
 
 def is_integral_at_1(phi):
@@ -687,5 +637,6 @@ def bracket_nilpotence_order(phi_trunc):
     while not cur.is_zero():
         cur = cur.bracket_with_x()
         n += 1
-        assert n <= bound, "nilpotence bound exceeded"
+        if n > bound:
+            raise EngineError("nilpotence bound exceeded")
     return n

@@ -5,6 +5,8 @@ k[x] and k[x^-1], the glued pairs, and levelwise truncations.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import EngineError, GlueFailure, UnsupportedGenerator
 from .exactscalar import ExactScalar, q_factorial, scalar
 from .opexpr import EDiv, _Algebra, _fold, parse
@@ -28,10 +30,8 @@ from .rings import POLY_X, POLY_Y, PlaneElement, plane_to_x_poly, x_of_plane
 
 
 def _act_K(elem, sign):
-    out = {}
-    for (a, b), c in elem.terms.items():
-        out[(a, b)] = c * ExactScalar.q_power(sign * (a - b))
-    return PlaneElement(out)
+    return PlaneElement(((a, b), c * ExactScalar.q_power(sign * (a - b)))
+                        for (a, b), c in elem.terms.items())
 
 
 _E_v_cache = {}
@@ -76,21 +76,19 @@ def _F_upow(a):
 
 
 def _act_E(elem):
-    out = PlaneElement.zero()
-    for (a, b), c in elem.terms.items():
-        # E(u^a v^b) = q^a u^a E(v^b)
-        piece = PlaneElement.monomial(a, 0, c * ExactScalar.q_power(a)) * _E_vpow(b)
-        out = out + piece
-    return out
+    # E(u^a v^b) = q^a u^a E(v^b)
+    return PlaneElement(chain.from_iterable(
+        (PlaneElement.monomial(a, 0, c * ExactScalar.q_power(a))
+         * _E_vpow(b)).terms.items()
+        for (a, b), c in elem.terms.items()))
 
 
 def _act_F(elem):
-    out = PlaneElement.zero()
-    for (a, b), c in elem.terms.items():
-        # F(u^a v^b) = F(u^a) K^-1(v^b) = q^b F(u^a) v^b
-        piece = _F_upow(a) * PlaneElement.monomial(0, b, c * ExactScalar.q_power(b))
-        out = out + piece
-    return out
+    # F(u^a v^b) = F(u^a) K^-1(v^b) = q^b F(u^a) v^b
+    return PlaneElement(chain.from_iterable(
+        (_F_upow(a) * PlaneElement.monomial(0, b, c * ExactScalar.q_power(b)))
+        .terms.items()
+        for (a, b), c in elem.terms.items()))
 
 
 _PLANE_LETTERS = {

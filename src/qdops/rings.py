@@ -3,11 +3,16 @@ quantum plane k<u, v>/(uv - q vu).
 
 Ring elements are finite maps exponent -> scalar.  All four commutative
 rings share one element type tagged by the ring; the plane gets its own
-type because its product twists.
+type because its product twists.  A term map merges equal keys only in
+its constructor, through `_terms.collect`: arithmetic hands the
+constructor (key, value) terms and never merges them itself.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
+from ._terms import collect, pairs
 from .errors import DomainMismatch, OutOfSupport
 from .exactscalar import ExactScalar, scalar
 
@@ -18,7 +23,8 @@ class RingTag:
     __slots__ = ("kind", "nvars")
 
     def __init__(self, kind, nvars=1):
-        assert kind in ("polyx", "polyy", "laurent", "polyn")
+        if kind not in ("polyx", "polyy", "laurent", "polyn"):
+            raise DomainMismatch(f"unknown ring kind {kind!r}")
         self.kind = kind
         self.nvars = nvars
 
@@ -53,20 +59,20 @@ LAURENT_X = RingTag("laurent")
 
 
 def poly_n(n):
-    assert n >= 1
+    if n < 1:
+        raise DomainMismatch(f"k[x_1..x_n] needs n >= 1, got {n}")
     return RingTag("polyn", n)
 
 
 def _as_key(tag, e):
-    if tag.kind == "polyn":
-        e = tuple(e)
-        assert len(e) == tag.nvars
-        return e
-    return int(e)
+    return tuple(e) if tag.kind == "polyn" else int(e)
 
 
 def _check_exponent(tag, e):
     if tag.kind == "polyn":
+        if len(e) != tag.nvars:
+            raise DomainMismatch(
+                f"exponent {e} in a ring of {tag.nvars} variables")
         if any(x < 0 for x in e):
             raise OutOfSupport(f"exponent {e} not in the polynomial ring")
     elif e < 0 and not tag.allows_negative:
@@ -79,15 +85,13 @@ class RingElement:
     __slots__ = ("tag", "terms")
 
     def __init__(self, tag, terms):
+        """terms: {exponent: scalar} or an iterable of (exponent, scalar)."""
         self.tag = tag
-        clean = {}
-        for e, c in terms.items():
-            c = scalar(c, tag.nvars)
-            if not c.is_zero():
-                k = _as_key(tag, e)
-                _check_exponent(tag, k)
-                clean[k] = clean[k] + c if k in clean else c
-        self.terms = {k: v for k, v in clean.items() if not v.is_zero()}
+        nv = tag.nvars
+        self.terms = collect((_as_key(tag, e), scalar(c, nv))
+                             for e, c in pairs(terms))
+        for k in self.terms:
+            _check_exponent(tag, k)
 
     @staticmethod
     def zero(tag):
@@ -112,10 +116,7 @@ class RingElement:
 
     def __add__(self, other):
         o = self._chk(other)
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, ExactScalar.from_int(0, self.tag.nvars)) + c
-        return RingElement(self.tag, out)
+        return RingElement(self.tag, chain(self.terms.items(), o.terms.items()))
 
     def __neg__(self):
         return RingElement(self.tag, {e: -c for e, c in self.terms.items()})
@@ -128,14 +129,10 @@ class RingElement:
             s = scalar(other, self.tag.nvars)
             return RingElement(self.tag, {e: c * s for e, c in self.terms.items()})
         o = self._chk(other)
-        out = {}
-        nv = self.tag.nvars
-        zero = ExactScalar.from_int(0, nv)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2)) if self.tag.kind == "polyn" else e1 + e2
-                out[e] = out.get(e, zero) + c1 * c2
-        return RingElement(self.tag, out)
+        polyn = self.tag.kind == "polyn"
+        return RingElement(self.tag, (
+            (tuple(a + b for a, b in zip(e1, e2)) if polyn else e1 + e2, c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in o.terms.items()))
 
     __rmul__ = __mul__
 
@@ -167,6 +164,12 @@ def ring_multiply(p, r):
 # the quantum plane
 # ---------------------------------------------------------------------------
 
+def _plane_key(a, b):
+    if a < 0:
+        raise OutOfSupport("negative u-power in the plane")
+    return a, b
+
+
 class PlaneElement:
     """Element of k<u,v>/(uv = q vu) in normal form: sum of c * u^a v^b,
     a >= 0, b any integer (v is inverted)."""
@@ -174,15 +177,9 @@ class PlaneElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        clean = {}
-        for (a, b), c in terms.items():
-            c = scalar(c)
-            if a < 0:
-                raise OutOfSupport("negative u-power in the plane")
-            if not c.is_zero():
-                key = (a, b)
-                clean[key] = clean[key] + c if key in clean else c
-        self.terms = {k: v for k, v in clean.items() if not v.is_zero()}
+        """terms: {(a, b): scalar} or an iterable of ((a, b), scalar)."""
+        self.terms = collect((_plane_key(a, b), scalar(c))
+                             for (a, b), c in pairs(terms))
 
     @staticmethod
     def zero():
@@ -200,10 +197,7 @@ class PlaneElement:
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ExactScalar.from_int(0)) + c
-        return PlaneElement(out)
+        return PlaneElement(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         return PlaneElement({k: -c for k, c in self.terms.items()})
@@ -215,15 +209,11 @@ class PlaneElement:
         if isinstance(other, (int, ExactScalar)):
             s = scalar(other)
             return PlaneElement({k: c * s for k, c in self.terms.items()})
-        out = {}
-        zero = ExactScalar.from_int(0)
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                # v^b1 u^a2 = q^(-a2 b1) u^a2 v^b1
-                w = ExactScalar.q_power(-a2 * b1)
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, zero) + c1 * c2 * w
-        return PlaneElement(out)
+        # v^b1 u^a2 = q^(-a2 b1) u^a2 v^b1
+        return PlaneElement(
+            ((a1 + a2, b1 + b2), c1 * c2 * ExactScalar.q_power(-a2 * b1))
+            for (a1, b1), c1 in self.terms.items()
+            for (a2, b2), c2 in other.terms.items())
 
     def __rmul__(self, other):
         if isinstance(other, (int, ExactScalar)):

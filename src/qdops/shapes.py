@@ -17,35 +17,22 @@ so pushing a power of x through a word costs one deletion sum:
 
 from __future__ import annotations
 
+from itertools import chain
+
+from ._terms import collect, nest
 from .errors import EngineError, UnsupportedGenerator
 from .exactscalar import ExactScalar, scalar
 from . import opexpr
 from .opexpr import EAdd, EGen, EMul, ENum, EPow, _Algebra, _fold
 
 
-def _pclean(p):
-    return {d: c for d, c in p.items() if not c.is_zero()}
-
-
-def _padd(p, r):
-    out = dict(p)
-    for d, c in r.items():
-        out[d] = out[d] + c if d in out else c
-    return _pclean(out)
-
-
 def _pmulp(p, r):
-    out = {}
-    for d1, c1 in p.items():
-        for d2, c2 in r.items():
-            d = d1 + d2
-            v = c1 * c2
-            out[d] = out[d] + v if d in out else v
-    return _pclean(out)
+    return collect((d1 + d2, c1 * c2)
+                   for d1, c1 in p.items() for d2, c2 in r.items())
 
 
 def _pscale(p, c):
-    return _pclean({d: v * c for d, v in p.items()})
+    return collect((d, v * c) for d, v in p.items())
 
 
 def twist_poly(p, s):
@@ -68,20 +55,14 @@ def _push(I, k):
     if k == 0:
         out = [(I, {0: one})]
     else:
-        w = sum(I)
-        heads = [(I, {1: ExactScalar.q_power(w)})]
+        # the terms (word, x-power, coefficient) of D^I x
+        heads = [(I, 1, ExactScalar.q_power(sum(I)))]
         for j in range(len(I)):
-            wj = sum(I[j + 1:])
-            heads.append((I[:j] + I[j + 1:], {0: ExactScalar.q_power(wj)}))
-        acc = {}
-        for J, hp in heads:
-            for J2, poly in _push(J, k - 1):
-                merged = _pmulp(hp, poly)
-                if J2 in acc:
-                    acc[J2] = _padd(acc[J2], merged)
-                else:
-                    acc[J2] = merged
-        out = [(J, p) for J, p in acc.items() if p]
+            heads.append((I[:j] + I[j + 1:], 0, ExactScalar.q_power(sum(I[j + 1:]))))
+        out = list(nest(
+            ((J2, dh + d), ch * c)
+            for J, dh, ch in heads for J2, poly in _push(J, k - 1)
+            for d, c in poly.items()).items())
     _push_cache[key] = out
     return out
 
@@ -93,13 +74,9 @@ class ShapeForm:
     __slots__ = ("classes",)
 
     def __init__(self, classes):
-        clean = {}
-        for (a, I), p in classes.items():
-            p = _pclean(p)
-            if p:
-                key = (a, tuple(I))
-                clean[key] = _padd(clean[key], p) if key in clean else p
-        self.classes = {k: p for k, p in clean.items() if p}
+        """classes: {(a, I): {x-degree: scalar}} or an iterable of
+        (((a, I), x-degree), scalar) terms; words I are tuples."""
+        self.classes = nest(classes)
 
     @staticmethod
     def zero():
@@ -112,39 +89,38 @@ class ShapeForm:
     def is_zero_shape(self):
         return not self.classes
 
+    def _terms(self):
+        return ((((a, I), d), c)
+                for (a, I), p in self.classes.items() for d, c in p.items())
+
     def __add__(self, other):
-        out = {k: dict(p) for k, p in self.classes.items()}
-        for k, p in other.classes.items():
-            out[k] = _padd(out[k], p) if k in out else p
-        return ShapeForm(out)
+        return ShapeForm(chain(self._terms(), other._terms()))
 
     def __neg__(self):
-        return ShapeForm(
-            {k: {d: -c for d, c in p.items()} for k, p in self.classes.items()})
+        return ShapeForm((k, -c) for k, c in self._terms())
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = scalar(c)
-        return ShapeForm({k: _pscale(p, c) for k, p in self.classes.items()})
+        return ShapeForm((k, v * c) for k, v in self._terms())
 
     def __mul__(self, other):
-        out = ShapeForm({})
-        acc = {}
-        for (a1, I1), p1 in self.classes.items():
-            for (a2, I2), p2 in other.classes.items():
-                pref = ExactScalar.q_power(a2 * len(I1)) if a2 * len(I1) else None
-                p1t = twist_poly(p1, -a2)
-                for d2, c2 in p2.items():
-                    for J, poly in _push(I1, d2):
-                        newp = _pmulp(p1t, _pscale(poly, c2))
-                        if pref is not None:
-                            newp = _pscale(newp, pref)
-                        key = (a1 + a2, J + I2)
-                        acc[key] = _padd(acc[key], newp) if key in acc else newp
-        out = ShapeForm(acc)
-        return out
+        def terms():
+            for (a1, I1), p1 in self.classes.items():
+                for (a2, I2), p2 in other.classes.items():
+                    pref = ExactScalar.q_power(a2 * len(I1)) if a2 * len(I1) else None
+                    p1t = twist_poly(p1, -a2)
+                    for d2, c2 in p2.items():
+                        for J, poly in _push(I1, d2):
+                            newp = _pmulp(p1t, _pscale(poly, c2))
+                            if pref is not None:
+                                newp = _pscale(newp, pref)
+                            for d, c in newp.items():
+                                yield ((a1 + a2, J + I2), d), c
+
+        return ShapeForm(terms())
 
     # -- the moves the simplicity walk uses --------------------------------
 
@@ -155,20 +131,17 @@ class ShapeForm:
     def bracket_x(self):
         """[self, x]: per class, (q^w - q^-a) sigma^a x p D^I plus the
         deletion terms."""
-        acc = {}
-        for (a, I), p in self.classes.items():
-            w = sum(I)
-            coef = ExactScalar.q_power(w) - ExactScalar.q_power(-a)
-            if not coef.is_zero():
-                key = (a, I)
-                xp = {d + 1: c * coef for d, c in p.items()}
-                acc[key] = _padd(acc[key], xp) if key in acc else _pclean(xp)
-            for j in range(len(I)):
-                wj = sum(I[j + 1:])
-                key = (a, I[:j] + I[j + 1:])
-                dp = _pscale(p, ExactScalar.q_power(wj))
-                acc[key] = _padd(acc[key], dp) if key in acc else dp
-        return ShapeForm(acc)
+        def terms():
+            for (a, I), p in self.classes.items():
+                coef = ExactScalar.q_power(sum(I)) - ExactScalar.q_power(-a)
+                for d, c in p.items():
+                    yield ((a, I), d + 1), c * coef
+                for j in range(len(I)):
+                    w = ExactScalar.q_power(sum(I[j + 1:]))
+                    for d, c in p.items():
+                        yield ((a, I[:j] + I[j + 1:]), d), c * w
+
+        return ShapeForm(terms())
 
     # -- inspection ---------------------------------------------------------
 

@@ -122,6 +122,10 @@ def test_unknown_suite_exits_3(capsys):
     (["eval", "s[1,2,3]", "--ring", "n=2"], 3, "UnsupportedGenerator"),
     (["uq", "E", "--level", "-1"], 2, "parse error"),
     (["uq", "E", "--level", "0"], 2, "parse error"),
+    (["eval", "q3", "--ring", "n=2"], 3, "UnsupportedGenerator"),
+    (["eval", "q", "--ring", "n=2"], 3, "UnsupportedGenerator"),
+    (["eval", "q1"], 3, "UnsupportedGenerator"),
+    (["eval", "q1", "--ring", "y"], 3, "UnsupportedGenerator"),
 ])
 def test_bad_input_is_a_typed_failure(capsys, argv, rc, name):
     got, out, err = run(capsys, *argv)

@@ -3,8 +3,9 @@ must match the recorded ones byte for byte.
 
 The cases cover every subcommand that interprets an expression (eval,
 apply, bracket, integrate on a shared-subtree answer, simplicity-witness,
-uq with a truncation level), a few typed failures, and `verify --json`
-for each of the fifteen suites at small seeded sizes.
+uq with a truncation level), n-variable sums whose non-canonical scalars
+print as the engine happened to add them, a few typed failures, and
+`verify --json` for each of the fifteen suites at small seeded sizes.
 
 To record the transcripts of the code on PYTHONPATH (only when an output
 change is intended):
@@ -70,6 +71,24 @@ CASES = [
     ["eval", "tau/(7*q^2)"],
     ["eval", "s[1]/7 + q^-2*tau"],
     ["eval", "3*s[1,1]*D1[0]*D2[0]", "--ring", "n=2"],
+    # n-variable sums over different 1/(q_i - 1) denominators: scalars
+    # are not canonical there, so these fix the order terms are added in
+    ["eval", "D1[2]*x2 - 3*x1*D2[-1]", "--ring", "n=2"],
+    ["eval", "D1[1]*x1*D1[2] + D2[1]*x2*D1[-1]", "--ring", "n=2"],
+    ["eval", "D1[1]*D2[2] - D2[-1]*D1[3]*x1", "--ring", "n=2", "--json"],
+    ["eval", "D1[1]*x1*D2[2] + D3[1]*x3*D1[-1] - D2[3]*x2",
+     "--ring", "n=3"],
+    ["eval", "s[1,2,3]*D3[2] + D1[-1]*D2[1]", "--ring", "n=3"],
+    ["apply", "D1[2]*x2 - 3*x1*D2[-1]", "x1^2*x2 + x1*x2^2",
+     "--ring", "n=2"],
+    ["apply", "D1[2]*D2[-1] - D3[1]*x3", "x1^2*x2*x3^2", "--ring", "n=3"],
+    ["bracket", "D1[1]*x2 - D2[-1]", "x1*x2 + x2^2", "--ring", "n=2",
+     "--twist", "1"],
+    # the scalars q1..qn of the n-variable rings
+    ["eval", "3/(q1*q2)*x1 + q2^2*D2[1]/(q1 - 1)", "--ring", "n=2"],
+    ["apply", "q3*D3[1] - x1/(q1*q2)", "x3^2 + x1", "--ring", "n=3"],
+    ["eval", "q1"],
+    ["eval", "q", "--ring", "n=2"],
 ]
 
 

@@ -14,7 +14,10 @@ from qdops.opexpr import (parse, evaluate, expr_str, decompose_degree0, EAdd,
 from qdops.opsym import GradedOperator, Symbol, generator, compose, equals
 from qdops.render import operator_str
 from qdops.rings import POLY_X, POLY_Y, LAURENT_X, poly_n, RingElement
-from qdops.errors import ParseError, NotDegreeZero, UnsupportedGenerator
+from qdops.errors import (CompatibilityViolation, ParseError, NotDegreeZero,
+                          UnsupportedGenerator)
+from qdops.algorithms import (integrate_nd, nd_bracket_terms, nd_consolidate,
+                              nd_term)
 
 qp = ExactScalar.q_power
 
@@ -159,6 +162,34 @@ def test_scalar_denominator_product_is_parenthesized():
     assert str(s) == "3/(q1*q2)"
     at = {"q1": Fraction(2), "q2": Fraction(3)}
     assert read_printed(str(s), at) == scalar_at(s, [2, 3])
+
+
+def test_q_names_in_n_variables():
+    op = evaluate(parse("q1^2*x1 - 3/(q1*q2)"), poly_n(2))
+    assert operator_str(op) == "[e=(0, 0)] (-3/(q1*q2)); [e=(1, 0)] q1^2"
+    assert expr_str(parse("q2/(q1 - 1)*x2")) == "q2/(q1-1)*x2"
+
+
+@pytest.mark.parametrize("nv", [2, 3])
+def test_potentials_read_back(nv):
+    """integrate_nd answers on random bracket families (drawn as the
+    nvariables suite draws them) print as text that reads back."""
+    rng, dom, done = random.Random(nv), poly_n(nv), 0
+    while done < 10:
+        G = nd_consolidate([
+            nd_term(qp(rng.randint(-2, 2), nv, rng.randrange(nv))
+                    * Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)),
+                    [rng.randint(0, 2) for _ in range(nv)],
+                    [(rng.randrange(nv), rng.randint(-2, 2))
+                     for _ in range(rng.randint(0, 2))],
+                    [rng.randint(-1, 1) for _ in range(nv)], nv)
+            for _ in range(rng.randint(1, 3))])
+        try:
+            Q = integrate_nd([nd_bracket_terms(G, i, nv) for i in range(nv)], nv)
+        except CompatibilityViolation:
+            continue
+        assert equals(evaluate(parse(expr_str(Q)), dom), evaluate(Q, dom))
+        done += 1
 
 
 def test_scalar_power_base_is_parenthesized():

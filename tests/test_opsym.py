@@ -217,6 +217,24 @@ def test_extend_to_laurent_table():
     assert exd.apply(xm(-1, LAURENT_X)) == xm(-2, LAURENT_X) * -qp(-1)
 
 
+def test_ky_generators_mirror_kx():
+    # k[y] is k[x] under a -> -a: the same parts and printed symbols
+    for a in range(-4, 5):
+        for ny, nx in (("sigma_y", "sigma"), ("dbeta_y", "dbeta")):
+            gy, gx = generator(ny, POLY_Y, a), generator(nx, POLY_X, -a)
+            assert gy.parts == gx.parts
+            assert {e: str(v) for e, v in gy.parts.items()} \
+                == {e: str(v) for e, v in gx.parts.items()}
+    for ny, gx in (("y", X), ("partial_y", d(0)), ("tau", TAU)):
+        assert generator(ny, POLY_Y).parts == gx.parts
+
+
+def test_apply_on_one_variable_polyn():
+    dom = poly_n(1)
+    img = generator("dbeta_i", dom, (0, 1)).apply(RingElement.monomial(dom, (2,)))
+    assert img == RingElement.monomial(dom, (1,), qp(1) + 1)
+
+
 def test_is_m_free():
     assert not is_m_free(d(0))
     assert not is_m_free(TAU)

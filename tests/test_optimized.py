@@ -1,0 +1,36 @@
+"""Input checks are raised errors, so they hold under `python -O`, which
+strips assert statements."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("setup,call", [
+    ("from qdops.rings import poly_n", "poly_n(0)"),
+    ("from qdops.exactscalar import TruncatedScalar", "TruncatedScalar(2, (1,))"),
+    ("from qdops.opsym import generator; from qdops.rings import POLY_X",
+     "generator('x', POLY_X) ** -1"),
+])
+def test_bad_call_raises_under_O(setup, call):
+    prog = (f"{setup}\nfrom qdops.errors import EngineError\n"
+            f"try:\n    {call}\nexcept EngineError as e:\n    print(e.name)\n"
+            f"else:\n    print('returned')\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", prog], capture_output=True,
+                         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert (out.returncode, out.stdout) == (0, "DomainMismatch\n"), out.stderr
+
+
+def test_no_assert_statements_in_the_package():
+    found = [f"{p.name}:{node.lineno}"
+             for p in sorted((SRC / "qdops").glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
