@@ -6,10 +6,9 @@ left multiplications, brackets and a final scale.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
-from ._terms import collect
+from ._terms import collect, product
 from .errors import CompatibilityViolation, EngineError, ZeroOperator
 from .exactscalar import ExactScalar, scalar
 from .opexpr import (
@@ -124,11 +123,6 @@ def verify_integration(word, b, Q=None, domain=POLY_X):
     return Q, equals(lhs, rhs)
 
 
-def _wprod(a, b):
-    return collect((w1 + w2, c1 * c2)
-                   for w1, c1 in a.items() for w2, c2 in b.items())
-
-
 class _WordExpansion(_Algebra):
     """Values: {D-word: coefficient}, words in product order."""
 
@@ -152,7 +146,7 @@ class _WordExpansion(_Algebra):
         return {w: -c for w, c in a.items()}
 
     def mul(self, e, a, b):
-        return _wprod(a, b)
+        return product(a, b)
 
     def div(self, e, a, b):
         if set(b) != {()}:
@@ -165,7 +159,7 @@ class _WordExpansion(_Algebra):
             raise EngineError("word expansion: negative power")
         out = {(): ExactScalar.from_int(1)}
         for _ in range(e.k):
-            out = _wprod(out, base)
+            out = product(out, base)
         return out
 
 
@@ -392,10 +386,8 @@ def nd_term_to_op(term, domain):
 
 
 def nd_terms_to_op(terms, domain):
-    out = GradedOperator.zero(domain)
-    for t in terms:
-        out = out + nd_term_to_op(t, domain)
-    return out
+    return GradedOperator(domain, chain.from_iterable(
+        nd_term_to_op(t, domain).parts.items() for t in terms))
 
 
 def _mono_expr(term, n):

@@ -22,7 +22,7 @@ import sys
 
 from .errors import EngineError, ParseError
 from .rings import POLY_X, POLY_Y, LAURENT_X, poly_n, RingElement
-from .opsym import twisted_bracket, equals, truncate_operator
+from .opsym import twisted_bracket, truncate_operator
 from .opexpr import parse, evaluate, expr_str, decompose_degree0
 from .render import (operator_str, ring_element_str, symbol_rows,
                      truncated_operator_str)

@@ -453,7 +453,9 @@ def q_number(m, kind="gauss"):
     if kind == "gauss":
         return (ExactScalar.q_power(m) - 1) / (Q - 1)
     if kind == "balanced":
-        return (ExactScalar.q_power(m) - ExactScalar.q_power(-m)) / (Q - ExactScalar.q_power(-1))
+        # sign(m) * (1 + q^2 + ... + q^(2|m|-2)) / q^(|m|-1)
+        k = abs(m)
+        return ExactScalar(1, -1 if m < 0 else 1, (1, 0) * k, _mono(max(k - 1, 0)))
     raise ValueError(f"unknown q-number kind {kind!r}")
 
 

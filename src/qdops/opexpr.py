@@ -46,7 +46,7 @@ from .errors import (
 )
 from .exactscalar import ExactScalar, scalar
 from .opsym import GradedOperator, Symbol, generator, twisted_bracket
-from .rings import POLY_X, RingTag
+from .rings import POLY_X
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +334,7 @@ class _Tokens:
             raise ParseError(i, f"unexpected character {ch!r}")
         self.toks.append(("end", "", n))
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -348,6 +349,22 @@ class _Tokens:
         if t[0] != kind:
             raise ParseError(t[2], f"expected {kind!r}, found {t[1]!r}")
         return t
+
+
+# nesting levels (parentheses, brackets, unary minus, ^) a parse may open;
+# each costs a few Python frames, so this stays well inside the stack
+_MAX_DEPTH = 100
+
+
+def _nested(tk, t, parse, *args):
+    """parse(tk, *args) one nesting level below token t: past _MAX_DEPTH
+    levels the input is a ParseError at t."""
+    if tk.depth == _MAX_DEPTH:
+        raise ParseError(t[2], f"nesting deeper than {_MAX_DEPTH} levels")
+    tk.depth += 1
+    out = parse(tk, *args)
+    tk.depth -= 1
+    return out
 
 
 def _parse_int(tk):
@@ -381,7 +398,7 @@ def _parse_atom(tk, mode):
     t = tk.peek()
     if t[0] == "(":
         tk.next()
-        e = _parse_expr(tk, mode)
+        e = _nested(tk, t, _parse_expr, mode)
         tk.expect(")")
         return e
     if t[0] == "int":
@@ -394,7 +411,7 @@ def _parse_atom(tk, mode):
     if name == "q":
         return ENum(ExactScalar.q_power(1))
     if name == "bracket":
-        return _parse_bracket_args(tk, mode)
+        return _nested(tk, t, _parse_bracket_args, mode)
     if mode == "uq":
         if name in _UQ_LEAVES:
             return EGen(name)
@@ -438,13 +455,10 @@ def _parse_atom(tk, mode):
 
 def _parse_factor(tk, mode):
     if tk.peek()[0] == "-":
-        tk.next()
-        return ENeg(_parse_factor(tk, mode))
+        return ENeg(_nested(tk, tk.next(), _parse_factor, mode))
     a = _parse_atom(tk, mode)
     if tk.peek()[0] == "^":
-        tk.next()
-        k = _parse_int(tk)
-        return EPow(a, k)
+        return EPow(a, _nested(tk, tk.next(), _parse_int))
     return a
 
 

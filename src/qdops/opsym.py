@@ -17,9 +17,10 @@ Composition never leaves the picture:
 coordinatewise in several variables.  The inverse-degree ring k[y] uses
 the same machinery with (u, m) read as (w, n) = (q^n, n) in the y-exponent.
 
-Symbols, operators and truncated operators are term maps: they merge
-equal keys only in their constructors, through `_terms.collect`, and
-their arithmetic hands the constructor (key, value) terms.
+Symbols, operators and truncated operators are `_terms.TermMap`s: they
+merge equal keys only in their constructors, through `_terms.collect`,
+the base writes their sums, negatives, scalar multiples, equality and
+hash, and each class writes only its product.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from ._terms import collect, nest, pairs
+from ._terms import TermMap, collect, nest, pairs, product
 from .errors import (
     DomainMismatch,
     EngineError,
@@ -36,7 +37,7 @@ from .errors import (
     UnsupportedGenerator,
 )
 from .exactscalar import ExactScalar, TruncatedScalar, scalar
-from .rings import POLY_X, POLY_Y, LAURENT_X, RingElement, RingTag
+from .rings import POLY_X, POLY_Y, LAURENT_X, RingElement
 
 
 def _tup(domain, e):
@@ -56,11 +57,12 @@ def _zero_key(n):
 # symbols
 # ---------------------------------------------------------------------------
 
-class Symbol:
+class Symbol(TermMap):
     """coeffs: {(u-exponents, m-exponents): ExactScalar}, tuples of length
     nvars; u-exponents range over Z, m-exponents over N."""
 
     __slots__ = ("nvars", "coeffs")
+    _map = "coeffs"
 
     def __init__(self, nvars, coeffs):
         """coeffs: a dict or an iterable of ((iv, jv), scalar) terms."""
@@ -71,9 +73,8 @@ class Symbol:
                 raise DomainMismatch(
                     f"symbol term {(iv, jv)} in {nvars} variables")
 
-    @staticmethod
-    def zero(nvars=1):
-        return Symbol(nvars, {})
+    def _header(self):
+        return (self.nvars,)
 
     @staticmethod
     def constant(c, nvars=1):
@@ -87,35 +88,14 @@ class Symbol:
             i, j = (i,), (j,)
         return Symbol(nvars, {(tuple(i), tuple(j)): scalar(c, nvars)})
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        return Symbol(self.nvars,
-                      chain(self.coeffs.items(), other.coeffs.items()))
-
-    def __neg__(self):
-        return Symbol(self.nvars, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, ExactScalar)):
-            s = scalar(other, self.nvars)
-            return Symbol(self.nvars, {k: c * s for k, c in self.coeffs.items()})
+            return self.scale(scalar(other, self.nvars))
         return Symbol(self.nvars, (
             ((tuple(a + b for a, b in zip(i1, i2)),
               tuple(a + b for a, b in zip(j1, j2))), c1 * c2)
             for (i1, j1), c1 in self.coeffs.items()
             for (i2, j2), c2 in other.coeffs.items()))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return (self - other).is_zero()
 
     def subst_shift(self, e):
         """u |-> q^e u, m |-> m + e (the inner-shift substitution)."""
@@ -187,10 +167,11 @@ class Symbol:
 # graded operators
 # ---------------------------------------------------------------------------
 
-class GradedOperator:
+class GradedOperator(TermMap):
     """parts: {exponent-shift tuple: Symbol} over a tagged ring."""
 
     __slots__ = ("domain", "parts")
+    _map = "parts"
 
     def __init__(self, domain, parts):
         """parts: a dict or an iterable of (shift, Symbol) terms."""
@@ -201,17 +182,13 @@ class GradedOperator:
                 raise DomainMismatch(
                     f"symbol in {s.nvars} variables on {domain!r}")
 
-    @staticmethod
-    def zero(domain):
-        return GradedOperator(domain, {})
+    def _header(self):
+        return (self.domain,)
 
     @staticmethod
     def identity(domain):
         return GradedOperator(
             domain, {_zero_key(domain.nvars): Symbol.constant(1, domain.nvars)})
-
-    def is_zero(self):
-        return not self.parts
 
     def is_identity(self):
         return self == GradedOperator.identity(self.domain)
@@ -224,37 +201,14 @@ class GradedOperator:
             return sorted(e[0] for e in self.parts)
         return sorted(self.parts)
 
-    def _chk(self, other):
-        if not isinstance(other, GradedOperator) or other.domain != self.domain:
-            raise DomainMismatch("operators live on different rings")
-        return other
-
-    def __add__(self, other):
-        o = self._chk(other)
-        return GradedOperator(self.domain,
-                              chain(self.parts.items(), o.parts.items()))
-
-    def __neg__(self):
-        return GradedOperator(self.domain, {e: -s for e, s in self.parts.items()})
-
-    def __sub__(self, other):
-        return self + (-self._chk(other))
-
     def __mul__(self, other):
         if isinstance(other, (int, ExactScalar)):
-            c = scalar(other, self.domain.nvars)
-            return GradedOperator(self.domain,
-                                  {e: s * c for e, s in self.parts.items()})
+            return self.scale(scalar(other, self.domain.nvars))
         o = self._chk(other)
         return GradedOperator(self.domain, (
             (tuple(a + b for a, b in zip(e1, e2)), s2 * s1.subst_shift(e2))
             for e1, s1 in self.parts.items()      # outer (applied second)
             for e2, s2 in o.parts.items()))       # inner (applied first)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, ExactScalar)):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, k):
         if k < 0:
@@ -263,16 +217,6 @@ class GradedOperator:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedOperator):
-            return NotImplemented
-        if self.domain != other.domain:
-            return False
-        keys = set(self.parts) | set(other.parts)
-        z = Symbol.zero(self.domain.nvars)
-        return all((self.parts.get(e, z) - other.parts.get(e, z)).is_zero()
-                   for e in keys)
 
     def apply(self, p):
         if not isinstance(p, RingElement) or p.tag != self.domain:
@@ -406,11 +350,10 @@ def linear_combine(terms):
     terms = list(terms)
     if not terms:
         raise DomainMismatch("linear_combine needs at least one term")
-    out = None
-    for c, op in terms:
-        piece = op * scalar(c, op.domain.nvars)
-        out = piece if out is None else out + piece
-    return out
+    first = terms[0][1]
+    pieces = [first._chk(op) * scalar(c, op.domain.nvars) for c, op in terms]
+    return GradedOperator(first.domain,
+                          chain.from_iterable(p.parts.items() for p in pieces))
 
 
 def apply(phi, p):
@@ -423,16 +366,16 @@ def twisted_bracket(phi, psi, a=0):
     d = phi._chk(psi).domain
     nv = d.nvars
     av = _tup(d, a)
-    out = phi * psi
     sgn = d.degree_sign
+    pieces = [phi * psi]
     for e, s in psi.parts.items():
-        w = ExactScalar.from_int(1, nv)
+        w = ExactScalar.from_int(-1, nv)      # the piece is -q^(a.b) psi_b phi
         for v in range(nv):
             t = av[v] * sgn * e[v]
             if t:
                 w = w * ExactScalar.q_power(t, nv, v)
-        out = out - GradedOperator(d, {e: s}) * phi * w
-    return out
+        pieces.append(GradedOperator(d, {e: s}) * phi * w)
+    return GradedOperator(d, chain.from_iterable(p.parts.items() for p in pieces))
 
 
 def equals(phi, psi):
@@ -487,10 +430,11 @@ def _one_plus_t_pow_im(i, level):
         for k in range(level) for d, c in enumerate(_binom_mpoly(i, k)) if c)
 
 
-class TruncatedOperator:
+class TruncatedOperator(TermMap):
     """parts: {shift: {m-degree: TruncatedScalar}} at one truncation level."""
 
     __slots__ = ("domain", "level", "parts")
+    _map = "parts"
 
     def __init__(self, domain, level, parts):
         """parts: {shift: {m-degree: TruncatedScalar}} or an iterable of
@@ -502,37 +446,16 @@ class TruncatedOperator:
         self.level = level
         self.parts = nest(parts)
 
-    @staticmethod
-    def zero(domain, level):
-        return TruncatedOperator(domain, level, {})
+    def _header(self):
+        return (self.domain, self.level)
+
+    def _terms(self):
+        return (((e, j), c) for e, f in self.parts.items() for j, c in f.items())
 
     @staticmethod
     def identity(domain, level):
         return TruncatedOperator(domain, level,
                                  {0: {0: TruncatedScalar.one(level)}})
-
-    def is_zero(self):
-        return not self.parts
-
-    def _chk(self, other):
-        if self.domain != other.domain or self.level != other.level:
-            raise DomainMismatch("truncated operators are not comparable")
-        return other
-
-    def _terms(self):
-        return (((e, j), c) for e, f in self.parts.items() for j, c in f.items())
-
-    def __add__(self, other):
-        o = self._chk(other)
-        return TruncatedOperator(self.domain, self.level,
-                                 chain(self._terms(), o._terms()))
-
-    def __neg__(self):
-        return TruncatedOperator(self.domain, self.level,
-                                 ((k, -c) for k, c in self._terms()))
-
-    def __sub__(self, other):
-        return self + (-self._chk(other))
 
     def __mul__(self, other):
         o = self._chk(other)
@@ -540,14 +463,7 @@ class TruncatedOperator:
             ((e1 + e2, j), c)
             for e1, f1 in self.parts.items()      # outer
             for e2, f2 in o.parts.items()         # inner
-            for j, c in _mp_mul(f2, _mp_shift(f1, e2)).items()))
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedOperator):
-            return NotImplemented
-        if self.domain != other.domain or self.level != other.level:
-            return False
-        return (self - other).is_zero()
+            for j, c in product(f2, _mp_shift(f1, e2)).items()))
 
     def bracket_with_x(self):
         """[phi, x]: per part, (e, f(m)) |-> (e+1, f(m+1) - f(m))."""
@@ -574,11 +490,6 @@ def _mp_shift(f, e):
         return f
     return collect((r, c * Fraction(math.comb(j, r) * e ** (j - r)))
                    for j, c in f.items() for r in range(j + 1))
-
-
-def _mp_mul(f, g):
-    return collect((j1 + j2, c1 * c2)
-                   for j1, c1 in f.items() for j2, c2 in g.items())
 
 
 def _truncated_terms(s, clear, level):

@@ -5,10 +5,8 @@ k[x] and k[x^-1], the glued pairs, and levelwise truncations.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .errors import EngineError, GlueFailure, UnsupportedGenerator
-from .exactscalar import ExactScalar, q_factorial, scalar
+from .exactscalar import ExactScalar, q_factorial, q_number, scalar
 from .opexpr import EDiv, _Algebra, _fold, parse
 from .opsym import (
     GradedOperator,
@@ -34,61 +32,18 @@ def _act_K(elem, sign):
                         for (a, b), c in elem.terms.items())
 
 
-_E_v_cache = {}
-
-
-def _E_vpow(b):
-    """E(v^b) for any integer b."""
-    hit = _E_v_cache.get(b)
-    if hit is not None:
-        return hit
-    if b == 0:
-        out = PlaneElement.zero()
-    elif b > 0:
-        # E(v * v^(b-1)) = u v^(b-1) + (1/q) v E(v^(b-1))
-        out = PlaneElement.monomial(1, b - 1) \
-            + PlaneElement.monomial(0, 1, ExactScalar.q_power(-1)) * _E_vpow(b - 1)
-    else:
-        # E(v^-1 * v^(b+1)) = -q^2 u v^(b-1) + q v^-1 E(v^(b+1))
-        out = PlaneElement.monomial(1, b - 1, -ExactScalar.q_power(2)) \
-            + PlaneElement.monomial(0, -1, ExactScalar.q_power(1)) * _E_vpow(b + 1)
-    _E_v_cache[b] = out
-    return out
-
-
-_F_u_cache = {}
-
-
-def _F_upow(a):
-    """F(u^a), a >= 0."""
-    hit = _F_u_cache.get(a)
-    if hit is not None:
-        return hit
-    if a == 0:
-        out = PlaneElement.zero()
-    else:
-        # F(u * u^(a-1)) = u F(u^(a-1)) + v K^-1(u^(a-1))
-        out = PlaneElement.monomial(1, 0) * _F_upow(a - 1) \
-            + PlaneElement.monomial(0, 1, ExactScalar.q_power(-(a - 1))) \
-            * PlaneElement.monomial(a - 1, 0)
-    _F_u_cache[a] = out
-    return out
-
-
 def _act_E(elem):
-    # E(u^a v^b) = q^a u^a E(v^b)
-    return PlaneElement(chain.from_iterable(
-        (PlaneElement.monomial(a, 0, c * ExactScalar.q_power(a))
-         * _E_vpow(b)).terms.items()
-        for (a, b), c in elem.terms.items()))
+    # E(u^a v^b) = q^(a+1-b) [b] u^(a+1) v^(b-1)
+    return PlaneElement(((a + 1, b - 1), c * ExactScalar.q_power(a + 1 - b)
+                         * q_number(b, "balanced"))
+                        for (a, b), c in elem.terms.items() if b)
 
 
 def _act_F(elem):
-    # F(u^a v^b) = F(u^a) K^-1(v^b) = q^b F(u^a) v^b
-    return PlaneElement(chain.from_iterable(
-        (_F_upow(a) * PlaneElement.monomial(0, b, c * ExactScalar.q_power(b)))
-        .terms.items()
-        for (a, b), c in elem.terms.items()))
+    # F(u^a v^b) = q^(b+1-a) [a] u^(a-1) v^(b+1)
+    return PlaneElement(((a - 1, b + 1), c * ExactScalar.q_power(b + 1 - a)
+                         * q_number(a, "balanced"))
+                        for (a, b), c in elem.terms.items() if a)
 
 
 _PLANE_LETTERS = {

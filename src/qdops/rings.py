@@ -3,16 +3,14 @@ quantum plane k<u, v>/(uv - q vu).
 
 Ring elements are finite maps exponent -> scalar.  All four commutative
 rings share one element type tagged by the ring; the plane gets its own
-type because its product twists.  A term map merges equal keys only in
-its constructor, through `_terms.collect`: arithmetic hands the
-constructor (key, value) terms and never merges them itself.
+type because its product twists.  Both are `_terms.TermMap`s: they merge
+equal keys only in their constructors, through `_terms.collect`, and
+write only their products; the base writes the rest of the arithmetic.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
-from ._terms import collect, pairs
+from ._terms import TermMap, collect, pairs
 from .errors import DomainMismatch, OutOfSupport
 from .exactscalar import ExactScalar, scalar
 
@@ -79,10 +77,11 @@ def _check_exponent(tag, e):
         raise OutOfSupport(f"exponent {e} not in the polynomial ring")
 
 
-class RingElement:
+class RingElement(TermMap):
     """Element of the (commutative) ring named by `tag`."""
 
     __slots__ = ("tag", "terms")
+    _map = "terms"
 
     def __init__(self, tag, terms):
         """terms: {exponent: scalar} or an iterable of (exponent, scalar)."""
@@ -93,9 +92,8 @@ class RingElement:
         for k in self.terms:
             _check_exponent(tag, k)
 
-    @staticmethod
-    def zero(tag):
-        return RingElement(tag, {})
+    def _header(self):
+        return (self.tag,)
 
     @staticmethod
     def one(tag):
@@ -106,47 +104,14 @@ class RingElement:
     def monomial(tag, e, c=1):
         return RingElement(tag, {e: scalar(c, tag.nvars)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def _chk(self, other):
-        if not isinstance(other, RingElement) or other.tag != self.tag:
-            raise DomainMismatch("ring elements from different rings")
-        return other
-
-    def __add__(self, other):
-        o = self._chk(other)
-        return RingElement(self.tag, chain(self.terms.items(), o.terms.items()))
-
-    def __neg__(self):
-        return RingElement(self.tag, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._chk(other))
-
     def __mul__(self, other):
         if isinstance(other, (int, ExactScalar)):
-            s = scalar(other, self.tag.nvars)
-            return RingElement(self.tag, {e: c * s for e, c in self.terms.items()})
+            return self.scale(scalar(other, self.tag.nvars))
         o = self._chk(other)
         polyn = self.tag.kind == "polyn"
         return RingElement(self.tag, (
             (tuple(a + b for a, b in zip(e1, e2)) if polyn else e1 + e2, c1 * c2)
             for e1, c1 in self.terms.items() for e2, c2 in o.terms.items()))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        if self.tag != other.tag:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
-
-    def __hash__(self):
-        return hash((self.tag, frozenset(self.terms)))
 
     def __repr__(self):
         return f"RingElement({self})"
@@ -170,20 +135,17 @@ def _plane_key(a, b):
     return a, b
 
 
-class PlaneElement:
+class PlaneElement(TermMap):
     """Element of k<u,v>/(uv = q vu) in normal form: sum of c * u^a v^b,
     a >= 0, b any integer (v is inverted)."""
 
     __slots__ = ("terms",)
+    _map = "terms"
 
     def __init__(self, terms):
         """terms: {(a, b): scalar} or an iterable of ((a, b), scalar)."""
         self.terms = collect((_plane_key(a, b), scalar(c))
                              for (a, b), c in pairs(terms))
-
-    @staticmethod
-    def zero():
-        return PlaneElement({})
 
     @staticmethod
     def one():
@@ -193,42 +155,15 @@ class PlaneElement:
     def monomial(a, b, c=1):
         return PlaneElement({(a, b): c})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        return PlaneElement(chain(self.terms.items(), other.terms.items()))
-
-    def __neg__(self):
-        return PlaneElement({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, ExactScalar)):
-            s = scalar(other)
-            return PlaneElement({k: c * s for k, c in self.terms.items()})
+            return self.scale(scalar(other))
+        o = self._chk(other)
         # v^b1 u^a2 = q^(-a2 b1) u^a2 v^b1
         return PlaneElement(
             ((a1 + a2, b1 + b2), c1 * c2 * ExactScalar.q_power(-a2 * b1))
             for (a1, b1), c1 in self.terms.items()
-            for (a2, b2), c2 in other.terms.items())
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, ExactScalar)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, PlaneElement):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms))
+            for (a2, b2), c2 in o.terms.items())
 
     def __repr__(self):
         return f"PlaneElement({self})"

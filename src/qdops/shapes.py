@@ -17,18 +17,11 @@ so pushing a power of x through a word costs one deletion sum:
 
 from __future__ import annotations
 
-from itertools import chain
-
-from ._terms import collect, nest
+from ._terms import TermMap, collect, nest, product
 from .errors import EngineError, UnsupportedGenerator
 from .exactscalar import ExactScalar, scalar
 from . import opexpr
 from .opexpr import EAdd, EGen, EMul, ENum, EPow, _Algebra, _fold
-
-
-def _pmulp(p, r):
-    return collect((d1 + d2, c1 * c2)
-                   for d1, c1 in p.items() for d2, c2 in r.items())
 
 
 def _pscale(p, c):
@@ -67,11 +60,13 @@ def _push(I, k):
     return out
 
 
-class ShapeForm:
+class ShapeForm(TermMap):
     """classes: {(sigma-exponent a, word I): x-polynomial}, zero classes
-    dropped.  Not canonical -- the same operator has many shapes."""
+    dropped.  Not canonical -- the same operator has many shapes, and
+    equality compares shapes, not operators."""
 
     __slots__ = ("classes",)
+    _map = "classes"
 
     def __init__(self, classes):
         """classes: {(a, I): {x-degree: scalar}} or an iterable of
@@ -79,42 +74,24 @@ class ShapeForm:
         self.classes = nest(classes)
 
     @staticmethod
-    def zero():
-        return ShapeForm({})
-
-    @staticmethod
     def of_term(a, p, I):
         return ShapeForm({(a, tuple(I)): {d: scalar(c) for d, c in p.items()}})
-
-    def is_zero_shape(self):
-        return not self.classes
 
     def _terms(self):
         return ((((a, I), d), c)
                 for (a, I), p in self.classes.items() for d, c in p.items())
 
-    def __add__(self, other):
-        return ShapeForm(chain(self._terms(), other._terms()))
-
-    def __neg__(self):
-        return ShapeForm((k, -c) for k, c in self._terms())
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = scalar(c)
-        return ShapeForm((k, v * c) for k, v in self._terms())
-
     def __mul__(self, other):
+        o = self._chk(other)
+
         def terms():
             for (a1, I1), p1 in self.classes.items():
-                for (a2, I2), p2 in other.classes.items():
+                for (a2, I2), p2 in o.classes.items():
                     pref = ExactScalar.q_power(a2 * len(I1)) if a2 * len(I1) else None
                     p1t = twist_poly(p1, -a2)
                     for d2, c2 in p2.items():
                         for J, poly in _push(I1, d2):
-                            newp = _pmulp(p1t, _pscale(poly, c2))
+                            newp = product(p1t, _pscale(poly, c2))
                             if pref is not None:
                                 newp = _pscale(newp, pref)
                             for d, c in newp.items():

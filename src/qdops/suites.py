@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .errors import CompatibilityViolation, UnknownSuite
-from .exactscalar import ExactScalar, scalar, q_factorial
+from .exactscalar import ExactScalar, scalar
 from .rings import POLY_X, POLY_Y, poly_n, RingElement
 from .opsym import (GradedOperator, generator, twisted_bracket, equals,
                     is_m_free, truncate_operator, bracket_nilpotence_order,
@@ -493,7 +493,7 @@ def _suite_simplicity_random(md, cases, seed):
     strict = True
     for _ in range(cases):
         sf = _rand_shape(rng, md)
-        if sf.is_zero_shape() or evaluate(sf.to_expr()).is_zero():
+        if sf.is_zero() or evaluate(sf.to_expr()).is_zero():
             sf = ShapeForm.of_term(0, {rng.randint(1, 3): _rand_scalar(rng)},
                                    (1,))
         w = alg.simplicity_witness(sf)

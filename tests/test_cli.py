@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qdops.cli import main
+from qdops.opexpr import _MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -131,4 +132,31 @@ def test_bad_input_is_a_typed_failure(capsys, argv, rc, name):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (rc, "")
     assert name in err
+    assert "Traceback" not in err
+
+
+def _deep(n, kind):
+    return {"parens": "(" * n + "x" + ")" * n, "minus": "-" * n + "x",
+            "bracket": "bracket(" * n + "x" + ",x)" * n}[kind]
+
+
+@pytest.mark.parametrize("kind", ["parens", "minus", "bracket"])
+def test_nesting_up_to_the_limit_parses(capsys, kind):
+    got, out, err = run(capsys, "eval", "--", _deep(_MAX_DEPTH, kind))
+    assert (got, err) == (0, "")
+    assert out.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--", _deep(_MAX_DEPTH + 1, "parens")],
+    ["eval", "--", _deep(3000, "parens")],
+    ["eval", "--", _deep(3000, "minus")],
+    ["eval", "--", _deep(3000, "bracket")],
+    ["uq", _deep(3000, "parens").replace("x", "E")],
+    ["eval", "--", "(" * (_MAX_DEPTH - 1) + "-x^2" + ")" * (_MAX_DEPTH - 1)],
+], ids=["limit+1", "parens", "minus", "bracket", "uq-parens", "minus-power"])
+def test_nesting_past_the_limit_is_a_parse_error(capsys, argv):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (2, "")
+    assert "parse error" in err and "nesting deeper" in err
     assert "Traceback" not in err

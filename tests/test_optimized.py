@@ -34,3 +34,26 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(p.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unread_imports(path):
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                bound[(a.asname or a.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}"
+            for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # __init__ and kernel import names only to re-export them
+    found = [hit for p in sorted((SRC / "qdops").glob("*.py"))
+             if p.name not in ("__init__.py", "kernel.py")
+             for hit in _unread_imports(p)]
+    assert found == []

@@ -142,3 +142,18 @@ def test_divided_power_plane_action():
     direct = act_on_plane("E", act_on_plane("E", V * V))
     bal2 = qp(-1) + qp(1)
     assert act_on_plane("Ediv[2]", V * V) == direct * bal2.inverse()
+
+
+def test_plane_action_follows_the_coproduct():
+    # E(st) = E(s)t + K(s)E(t) and F(st) = sF(t) + F(s)K^-1(t)
+    monos = [PlaneElement.monomial(a, b) for a in range(7) for b in range(-6, 7)]
+    act = {w: {m: act_on_plane(w, m) for m in monos}
+           for w in ("E", "F", "K", "Kinv")}
+    E, F = (parse(w, mode="uq") for w in ("E", "F"))
+    for s in monos:
+        for t in monos:
+            st = s * t
+            assert act_on_plane(E, st) == act["E"][s] * t \
+                + act["K"][s] * act["E"][t]
+            assert act_on_plane(F, st) == s * act["F"][t] \
+                + act["F"][s] * act["Kinv"][t]
