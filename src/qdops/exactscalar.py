@@ -466,11 +466,6 @@ def q_factorial(m, kind="balanced"):
     return out
 
 
-def normalize(s):
-    """Canonical form (constructors already normalize; kept as the spec op)."""
-    return scalar(s)
-
-
 def valuation_at_1(s):
     return scalar(s).valuation_at_1()
 

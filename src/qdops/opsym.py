@@ -248,11 +248,6 @@ class GradedOperator(TermMap):
                             return False
         return True
 
-    def grading_degrees(self):
-        """Degree vectors of the homogeneous components (deg y = -1)."""
-        sgn = self.domain.degree_sign
-        return {tuple(sgn * x for x in e) for e in self.parts}
-
     def __repr__(self):
         return f"GradedOperator({self})"
 

@@ -121,10 +121,6 @@ class RingElement(TermMap):
         return ring_element_str(self)
 
 
-def ring_multiply(p, r):
-    return p * r
-
-
 # ---------------------------------------------------------------------------
 # the quantum plane
 # ---------------------------------------------------------------------------
@@ -171,10 +167,6 @@ class PlaneElement(TermMap):
     def __str__(self):
         from .render import plane_element_str
         return plane_element_str(self)
-
-
-def plane_multiply(s, t):
-    return s * t
 
 
 def x_of_plane(m=1):

@@ -17,6 +17,8 @@ so pushing a power of x through a word costs one deletion sum:
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ._terms import TermMap, collect, nest, product
 from .errors import EngineError, UnsupportedGenerator
 from .exactscalar import ExactScalar, scalar
@@ -233,15 +235,13 @@ class _Shapes(_Algebra):
         return out
 
     def bracket(self, e, A, B):
-        out = A * B
-        t = e.twist
+        pieces = [A * B]
         for (a, I), p in B.classes.items():
             for d, c in p.items():
-                deg = d - len(I)
-                w = ExactScalar.q_power(t * deg) if t * deg else ExactScalar.from_int(1)
-                piece = ShapeForm.of_term(a, {d: c}, I) * A
-                out = out - piece.scale(w)
-        return out
+                # the piece is -q^(twist * deg) b A for the term b of B
+                w = -ExactScalar.q_power(e.twist * (d - len(I)))
+                pieces.append((ShapeForm.of_term(a, {d: c}, I) * A).scale(w))
+        return ShapeForm(chain.from_iterable(p._terms() for p in pieces))
 
 
 _SHAPES = _Shapes()

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from .errors import CompatibilityViolation, UnknownSuite
 from .exactscalar import ExactScalar, scalar
-from .rings import POLY_X, POLY_Y, poly_n, RingElement
+from .rings import POLY_X, POLY_Y, poly_n, PlaneElement, RingElement
 from .opsym import (GradedOperator, generator, twisted_bracket, equals,
-                    is_m_free, truncate_operator, bracket_nilpotence_order,
-                    TruncatedOperator)
+                    is_m_free, is_integral_at_1, truncate_operator,
+                    bracket_nilpotence_order, TruncatedOperator)
 from .opexpr import (EGen, EMul, ENum, evaluate, decompose_degree0)
 from .shapes import ShapeForm, shape_normalize
 from . import algorithms as alg
@@ -160,125 +160,87 @@ def _rand_degree0_expr(rng, max_leaves=8):
 # the batteries
 # ---------------------------------------------------------------------------
 
+def _family(label, verdicts):
+    """One row for a family of cases: it passes when every case holds.
+
+    Every case runs, even after one fails, so the count never depends on
+    the verdicts and the random draws stay in order."""
+    verdicts = [bool(v) for v in verdicts]
+    return CheckResult(label, all(verdicts), len(verdicts))
+
+
 def _suite_note_identities(md, cases, seed):
     amax = max(2, md)
     d = lambda a: _g("dbeta", a)
     s = lambda a: _g("sigma", a)
-    one = _one()
-    checks = []
 
-    n = ok = 0
-    for a in range(1, amax + 1):
-        ladder = _one() * 0
-        for i in range(a):
-            ladder = ladder + s(i)
-        f = (ExactScalar.from_int(1) - _qp(1)) / (ExactScalar.from_int(1) - _qp(a))
-        ok += equals(d(a), (d(1) * ladder) * f)
-        n += 1
-    checks.append(CheckResult("one-step ladder, positive twist", ok == n, n))
+    def ladders(sign):
+        one = ExactScalar.from_int(1)
+        for a in range(1, amax + 1):
+            ladder = sum((s(sign * i) for i in range(a)), _one() * 0)
+            f = (one - _qp(sign)) / (one - _qp(sign * a))
+            yield equals(d(sign * a), (d(sign) * ladder) * f)
 
-    n = ok = 0
-    for m in range(0, 9):
-        xm = RingElement.monomial(POLY_X, m)
-        img = d(0).apply(xm)
-        want = (RingElement.monomial(POLY_X, m - 1, m) if m
-                else RingElement.zero(POLY_X))
-        ok += img == want
-        n += 1
-    checks.append(CheckResult("zero twist is the classical derivative",
-                              ok == n, n))
-
-    n = ok = 0
-    for a in range(1, amax + 1):
-        ladder = _one() * 0
-        for i in range(a):
-            ladder = ladder + s(-i)
-        f = (ExactScalar.from_int(1) - _qp(-1)) / (ExactScalar.from_int(1) - _qp(-a))
-        ok += equals(d(-a), (d(-1) * ladder) * f)
-        n += 1
-    checks.append(CheckResult("one-step ladder, negative twist", ok == n, n))
-
-    n = ok = 0
-    for a in range(-3, 4):
-        ok += equals(d(a), s(a) * d(-a))
-        n += 1
-    checks.append(CheckResult("twist mirror d^(a) = s[a] d^(-a)", ok == n, n))
-    return checks
+    return [
+        _family("one-step ladder, positive twist", ladders(1)),
+        _family("zero twist is the classical derivative",
+                (d(0).apply(RingElement.monomial(POLY_X, m))
+                 == (RingElement.monomial(POLY_X, m - 1, m) if m
+                     else RingElement.zero(POLY_X))
+                 for m in range(0, 9))),
+        _family("one-step ladder, negative twist", ladders(-1)),
+        _family("twist mirror d^(a) = s[a] d^(-a)",
+                (equals(d(a), s(a) * d(-a)) for a in range(-3, 4))),
+    ]
 
 
 def _suite_intrinsic_relations(md, cases, seed):
     rng = random.Random(seed)
-    amax = max(1, md)
+    span = range(-max(1, md), max(1, md) + 1)
     d = lambda a: _g("dbeta", a)
     x = _g("x")
     one = _one()
-    checks = []
 
-    n = ok = 0
-    for a in range(-amax, amax + 1):
-        ok += equals(d(a) * x - (x * d(a)) * _qp(a), one)
-        n += 1
-    checks.append(CheckResult("q-Leibniz family", ok == n, n))
+    def probes():
+        for _ in range(cases):
+            e = _rand_degree0_expr(rng)
+            op = evaluate(e)
+            yield (equals(evaluate(shape_normalize(e).to_expr()), op)
+                   and equals(evaluate(decompose_degree0(op)), op))
 
-    n = ok = 0
-    for a in range(-amax, amax + 1):
-        for b in range(-amax, amax + 1):
-            ok += equals(d(a) * x * d(b), d(b) * x * d(a))
-            n += 1
-    checks.append(CheckResult("exchange family", ok == n, n))
-
-    lhs = d(-1) - d(1) * _qp(1)
-    rhs = (d(-1) * x * d(1)) * (ExactScalar.from_int(1) - _qp(1))
-    ok = equals(lhs, rhs)
-    lhs = d(1) - d(-1) * _qp(-1)
-    rhs = (d(1) * x * d(-1)) * (ExactScalar.from_int(1) - _qp(-1))
-    ok = ok and equals(lhs, rhs)
-    checks.append(CheckResult("special relation (both mirrors)", ok, 2))
-
-    n = ok = 0
-    for _ in range(cases):
-        e = _rand_degree0_expr(rng)
-        op = evaluate(e)
-        shaped = evaluate(shape_normalize(e).to_expr())
-        good = equals(shaped, op)
-        dec = decompose_degree0(op)
-        good = good and equals(evaluate(dec), op)
-        ok += good
-        n += 1
-    checks.append(CheckResult("relation completeness probe", ok == n, n))
-    return checks
+    return [
+        _family("q-Leibniz family",
+                (equals(d(a) * x - (x * d(a)) * _qp(a), one) for a in span)),
+        _family("exchange family",
+                (equals(d(a) * x * d(b), d(b) * x * d(a))
+                 for a in span for b in span)),
+        _family("special relation (both mirrors)",
+                (equals(d(-a) - d(a) * _qp(a),
+                        (d(-a) * x * d(a)) * (ExactScalar.from_int(1) - _qp(a)))
+                 for a in (1, -1))),
+        _family("relation completeness probe", probes()),
+    ]
 
 
 def _suite_d0_commutative(md, cases, seed):
     rng = random.Random(seed)
-    checks = []
-    n = ok = 0
-    for _ in range(cases):
-        a = _rand_degree0(rng, rng.randint(1, max(2, md)))
-        b = _rand_degree0(rng, rng.randint(1, max(2, md)))
-        ok += equals(a * b, b * a)
-        n += 1
-    checks.append(CheckResult("degree-zero words commute", ok == n, n))
-
-    n = ok = 0
-    for _ in range(cases // 2 or 1):
-        gop = _rand_degree0(rng, rng.randint(1, max(2, md)))
-        gop = gop * _rand_scalar(rng)
-        ok += equals(evaluate(decompose_degree0(gop)), gop)
-        n += 1
-    checks.append(CheckResult("decomposition round trip", ok == n, n))
+    word = lambda: _rand_degree0(rng, rng.randint(1, max(2, md)))
+    pairs = ((word(), word()) for _ in range(cases))
+    checks = [_family("degree-zero words commute",
+                      (equals(a * b, b * a) for a, b in pairs))]
+    gops = (word() * _rand_scalar(rng) for _ in range(cases // 2 or 1))
+    checks.append(_family("decomposition round trip",
+                          (equals(evaluate(decompose_degree0(g)), g)
+                           for g in gops)))
     return checks
 
 
 def _suite_domain_sample(md, cases, seed):
     rng = random.Random(seed)
-    n = ok = 0
-    for _ in range(cases):
-        a = _rand_word(rng, rng.randint(1, max(2, md))) * _rand_scalar(rng)
-        b = _rand_word(rng, rng.randint(1, max(2, md))) * _rand_scalar(rng)
-        ok += not (a * b).is_zero()
-        n += 1
-    return [CheckResult("products of nonzero words are nonzero", ok == n, n)]
+    word = lambda: (_rand_word(rng, rng.randint(1, max(2, md)))
+                    * _rand_scalar(rng))
+    return [_family("products of nonzero words are nonzero",
+                    (not (word() * word()).is_zero() for _ in range(cases)))]
 
 
 def _suite_qcenter(md, cases, seed):
@@ -286,26 +248,18 @@ def _suite_qcenter(md, cases, seed):
     x = _g("x")
     d0 = _g("dbeta", 0)
     one = _one()
-    checks = []
+    word = lambda: _rand_word(rng, rng.randint(1, max(2, md)))
 
-    n = ok = 0
-    for _ in range(cases):
-        c = one * _rand_scalar(rng)
-        w = _rand_word(rng, rng.randint(1, max(2, md)))
-        ok += equals(c * w, w * c)
-        n += 1
-    checks.append(CheckResult("scalars are central", ok == n, n))
-
+    pairs = ((one * _rand_scalar(rng), word()) for _ in range(cases))
+    checks = [_family("scalars are central",
+                      (equals(c * w, w * c) for c, w in pairs))]
     checks.append(CheckResult("the coordinate is not central",
                               not equals(d0 * x, x * d0)))
-
-    n = ok = 0
-    for _ in range(cases):
-        w = _rand_word(rng, rng.randint(1, max(2, md)))
-        central = equals(w * x, x * w) and equals(w * d0, d0 * w)
-        ok += central == (alg._as_scalar_op(w) is not None)
-        n += 1
-    checks.append(CheckResult("sampled words central iff scalar", ok == n, n))
+    words = (word() for _ in range(cases))
+    checks.append(_family(
+        "sampled words central iff scalar",
+        ((equals(w * x, x * w) and equals(w * d0, d0 * w))
+         == (alg._as_scalar_op(w) is not None) for w in words)))
     return checks
 
 
@@ -316,48 +270,37 @@ def _suite_immediate_formulae(md, cases, seed):
     tau = _g("tau")
     s1 = _g("sigma", 1)
     one = _one()
-    checks = []
+    qm1 = _qp(1) - ExactScalar.from_int(1)
+
+    def multi_index():
+        for L in (1, 2, 3):
+            for I in itertools.product((0, 1), repeat=L):
+                lhs = _one()
+                rhs = _one()
+                for j, ij in enumerate(I, start=1):
+                    if ij:
+                        lhs = lhs * (tau + one * j)
+                        rhs = rhs * ((s1 * _qp(j) - one) * qm1.inverse())
+                for a in I:
+                    lhs = lhs * d(a)
+                for _ in range(len(I)):
+                    rhs = rhs * d(0)
+                yield equals(lhs, rhs)
 
     # the twist that makes these hold is -1: the bracket is dd^b - q d^b d
     br = twisted_bracket(d(0), d(1), -1)
-    ok = equals(x * br, d(0) - d(1))
-    ok = ok and equals(br * x, d(0) - d(1) * _qp(1))
-    checks.append(CheckResult("bracket of the two derivatives against x",
-                              ok, 2))
-
-    n = ok = 0
-    for kk in range(-k, k + 1):
-        for a in range(-k, k + 1):
-            lhs = (tau + one * kk) * d(a)
-            rhs = d(a) * (tau + one * (kk - 1))
-            ok += equals(lhs, rhs)
-            n += 1
-    checks.append(CheckResult("tau shifts by one across a derivative",
-                              ok == n, n))
-
-    qm1 = _qp(1) - ExactScalar.from_int(1)
-    lhs = (tau + one) * d(1)
-    rhs = ((s1 * _qp(1) - one) * qm1.inverse()) * d(0)
-    checks.append(CheckResult("tau+1 against the one-step derivative",
-                              equals(lhs, rhs)))
-
-    n = ok = 0
-    for L in (1, 2, 3):
-        for I in itertools.product((0, 1), repeat=L):
-            lhs = _one()
-            rhs = _one()
-            for j, ij in enumerate(I, start=1):
-                if ij:
-                    lhs = lhs * (tau + one * j)
-                    rhs = rhs * ((s1 * _qp(j) - one) * qm1.inverse())
-            for a in I:
-                lhs = lhs * d(a)
-            for _ in range(len(I)):
-                rhs = rhs * d(0)
-            ok += equals(lhs, rhs)
-            n += 1
-    checks.append(CheckResult("multi-index generalization", ok == n, n))
-    return checks
+    return [
+        _family("bracket of the two derivatives against x",
+                (equals(x * br, d(0) - d(1)),
+                 equals(br * x, d(0) - d(1) * _qp(1)))),
+        _family("tau shifts by one across a derivative",
+                (equals((tau + one * kk) * d(a), d(a) * (tau + one * (kk - 1)))
+                 for kk in range(-k, k + 1) for a in range(-k, k + 1))),
+        CheckResult("tau+1 against the one-step derivative",
+                    equals((tau + one) * d(1),
+                           ((s1 * _qp(1) - one) * qm1.inverse()) * d(0))),
+        _family("multi-index generalization", multi_index()),
+    ]
 
 
 def _rand_nd_terms(rng, nvars, md):
@@ -382,50 +325,42 @@ def _suite_nvariables(md, cases, seed):
         one = _one(dom)
         xs = [_g("x_i", i, dom) for i in range(nv)]
         D = lambda i, k: _g("dbeta_i", (i, k), dom)
-        n = ok = 0
-        for i in range(nv):
-            for j in range(nv):
-                if i == j:
-                    continue
-                for k in krange:
-                    ok += twisted_bracket(D(i, k), xs[j]).is_zero()
-                    n += 1
-                for k in krange:
-                    for l in krange:
-                        ok += twisted_bracket(D(i, k), D(j, l)).is_zero()
-                        n += 1
-        for i in range(nv):
-            for k in krange:
-                a = tuple(rng.randint(-2, 2) if j != i else 0
-                          for j in range(nv))
-                ok += twisted_bracket(D(i, k), _g("sigma_vec", a, dom)).is_zero()
-                n += 1
-        checks.append(CheckResult(
-            f"distinct coordinates commute (n={nv})", ok == n, n))
 
-        n = ok = 0
-        for i in range(nv):
-            for k in krange:
-                qnum = ((ExactScalar.q_power(k, nv, var=i) - 1)
-                        / (ExactScalar.q_power(1, nv, var=i) - 1)) \
-                    if k else ExactScalar.from_int(1, nv)
-                sig = _g("sigma_vec",
-                         tuple(k if j == i else 0 for j in range(nv)), dom) \
-                    if k else one
-                ok += equals(twisted_bracket(D(i, k), xs[i]), sig * qnum)
-                n += 1
-                lhs = D(i, k) * xs[i]
-                rhs = (xs[i] * D(i, k)) * ExactScalar.q_power(k, nv, var=i) \
-                    + one * qnum
-                ok += equals(lhs, rhs)
-                n += 1
-                if k:
-                    sig_id = one + (xs[i] * D(i, k)) \
-                        * (ExactScalar.q_power(1, nv, var=i) - 1)
-                    ok += equals(sig, sig_id)
-                    n += 1
-        checks.append(CheckResult(
-            f"same-coordinate push relations (n={nv})", ok == n, n))
+        def commuting():
+            for i, j in itertools.permutations(range(nv), 2):
+                for k in krange:
+                    yield twisted_bracket(D(i, k), xs[j]).is_zero()
+                for k, l in itertools.product(krange, repeat=2):
+                    yield twisted_bracket(D(i, k), D(j, l)).is_zero()
+            for i in range(nv):
+                for k in krange:
+                    a = tuple(rng.randint(-2, 2) if j != i else 0
+                              for j in range(nv))
+                    yield twisted_bracket(D(i, k),
+                                          _g("sigma_vec", a, dom)).is_zero()
+
+        def pushes():
+            for i in range(nv):
+                for k in krange:
+                    qnum = ((ExactScalar.q_power(k, nv, var=i) - 1)
+                            / (ExactScalar.q_power(1, nv, var=i) - 1)) \
+                        if k else ExactScalar.from_int(1, nv)
+                    sig = _g("sigma_vec",
+                             tuple(k if j == i else 0 for j in range(nv)),
+                             dom) if k else one
+                    yield equals(twisted_bracket(D(i, k), xs[i]), sig * qnum)
+                    yield equals(D(i, k) * xs[i],
+                                 (xs[i] * D(i, k))
+                                 * ExactScalar.q_power(k, nv, var=i)
+                                 + one * qnum)
+                    if k:
+                        yield equals(sig, one + (xs[i] * D(i, k))
+                                     * (ExactScalar.q_power(1, nv, var=i) - 1))
+
+        checks.append(_family(f"distinct coordinates commute (n={nv})",
+                              commuting()))
+        checks.append(_family(f"same-coordinate push relations (n={nv})",
+                              pushes()))
 
         n = ok = attempts = 0
         want = max(1, cases)
@@ -453,26 +388,19 @@ def _suite_nvariables(md, cases, seed):
 
 def _suite_integrate_exhaustive(md, cases, seed):
     rng = random.Random(seed)
-    checks = []
-    n = ok = 0
-    for L in range(0, max(1, md) + 1):
-        for w in itertools.product((-2, -1, 0, 1, 2), repeat=L):
-            for b in range(-3, 4):
-                _, good = alg.verify_integration(w, b)
-                ok += good
-                n += 1
-    checks.append(CheckResult(
-        f"exhaustive words of length <= {max(1, md)}", ok == n, n))
-
-    n = ok = 0
-    for _ in range(cases):
-        w = tuple(rng.randint(-2, 2) for _ in range(4))
-        b = rng.randint(-3, 3)
-        _, good = alg.verify_integration(w, b)
-        ok += good
-        n += 1
-    checks.append(CheckResult("random words of length 4", ok == n, n))
-    return checks
+    top = max(1, md)
+    return [
+        _family(f"exhaustive words of length <= {top}",
+                (alg.verify_integration(w, b)[1]
+                 for L in range(0, top + 1)
+                 for w in itertools.product((-2, -1, 0, 1, 2), repeat=L)
+                 for b in range(-3, 4))),
+        _family("random words of length 4",
+                (alg.verify_integration(
+                    tuple(rng.randint(-2, 2) for _ in range(4)),
+                    rng.randint(-3, 3))[1]
+                 for _ in range(cases))),
+    ]
 
 
 def _rand_shape(rng, md):
@@ -489,23 +417,23 @@ def _rand_shape(rng, md):
 
 def _suite_simplicity_random(md, cases, seed):
     rng = random.Random(seed)
-    n = ok = 0
-    strict = True
-    for _ in range(cases):
+
+    def witness_case():
+        """(replays to the identity, measure strictly decreases)"""
         sf = _rand_shape(rng, md)
         if sf.is_zero() or evaluate(sf.to_expr()).is_zero():
             sf = ShapeForm.of_term(0, {rng.randint(1, 3): _rand_scalar(rng)},
                                    (1,))
         w = alg.simplicity_witness(sf)
-        res = alg.replay(w, sf)
-        ok += res.is_identity()
-        n += 1
-        for before, after in zip(w.measures, w.measures[1:]):
-            if not after < before:
-                strict = False
-    return [CheckResult("witness replays to the identity", ok == n, n),
-            CheckResult("termination measure strictly decreases", strict,
-                        n)]
+        return (alg.replay(w, sf).is_identity(),
+                all(after < before
+                    for before, after in zip(w.measures, w.measures[1:])))
+
+    runs = [witness_case() for _ in range(cases)]
+    return [_family("witness replays to the identity",
+                    (replayed for replayed, _ in runs)),
+            _family("termination measure strictly decreases",
+                    (decreasing for _, decreasing in runs))]
 
 
 def _suite_gamma_generators(md, cases, seed):
@@ -528,143 +456,115 @@ def _uq_relation_exprs():
 
 def _suite_uq_relations(md, cases, seed):
     rel = _uq_relation_exprs()
-    checks = []
+    checks = [
+        _family(f"defining relations under {which}",
+                (equals(hom(lhs), (_one(dom) if not rhs else hom(rhs))
+                        * scalar(c))
+                 for _, lhs, rhs, c in rel))
+        for which, hom, dom in (("alpha", qgroup.alpha, POLY_X),
+                                ("gamma", qgroup.gamma, POLY_Y))]
 
-    for which, hom, dom in (("alpha", qgroup.alpha, POLY_X),
-                            ("gamma", qgroup.gamma, POLY_Y)):
-        n = ok = 0
-        for label, lhs, rhs, c in rel:
-            L = hom(lhs)
-            R = _one(dom) if not rhs else hom(rhs)
-            ok += equals(L, R * scalar(c))
-            n += 1
-        checks.append(CheckResult(f"defining relations under {which}",
-                                  ok == n, n))
-
-    from .rings import PlaneElement
     bound = max(1, md)
-    n = ok = 0
     # u is not inverted in the localized plane, so its powers start at 0
-    for a in range(0, bound + 1):
-        for b in range(-bound, bound + 1):
-            mono = PlaneElement.monomial(a, b)
-            for label, lhs, rhs, c in rel:
-                L = qgroup.act_on_plane(lhs, mono)
-                R = mono if not rhs else qgroup.act_on_plane(rhs, mono)
-                ok += L == R * c
-                n += 1
-    checks.append(CheckResult(
+    monos = (PlaneElement.monomial(a, b)
+             for a in range(0, bound + 1) for b in range(-bound, bound + 1))
+    checks.append(_family(
         f"defining relations on plane monomials |a|,|b| <= {bound}",
-        ok == n, n))
+        (qgroup.act_on_plane(lhs, mono)
+         == (mono if not rhs else qgroup.act_on_plane(rhs, mono)) * c
+         for mono in monos for _, lhs, rhs, c in rel)))
     return checks
 
 
 def _suite_uq_plane_consistency(md, cases, seed):
     letters = ("E", "F", "K", "Kinv")
-    n = ok = 0
-    for L in range(1, 5):
-        for w in itertools.product(letters, repeat=L):
-            e = _mul_chain([EGen(c) for c in w])
-            for m in range(0, max(1, md) + 1):
-                ok += qgroup.plane_alpha_consistent(e, m)
-                n += 1
-    return [CheckResult("plane action matches the coordinate-line image",
-                        ok == n, n)]
+
+    def consistent():
+        for L in range(1, 5):
+            for w in itertools.product(letters, repeat=L):
+                e = _mul_chain([EGen(c) for c in w])
+                for m in range(0, max(1, md) + 1):
+                    yield qgroup.plane_alpha_consistent(e, m)
+
+    return [_family("plane action matches the coordinate-line image",
+                    consistent())]
 
 
 def _suite_nonsurjectivity(md, cases, seed):
     rng = random.Random(seed)
     letters = [qgroup.alpha(w) for w in ("E", "F", "K", "Kinv")]
-    n = ok = 0
-    for _ in range(cases):
-        gop = _one()
-        for _ in range(rng.randint(1, max(2, md))):
-            gop = gop * rng.choice(letters)
-        gop = gop * _rand_scalar(rng)
-        ok += is_m_free(gop)
-        n += 1
-    checks = [CheckResult("images of quantum-group words are m-free",
-                          ok == n, n)]
-    checks.append(CheckResult("the classical derivative is not m-free",
-                              not is_m_free(_g("dbeta", 0))))
-    checks.append(CheckResult(
-        "the excluded pair glues but cannot be reached",
-        qgroup.gamma_q_member(qgroup.gamma_q_pairs()[0])))
-    return checks
+
+    def images():
+        for _ in range(cases):
+            gop = _one()
+            for _ in range(rng.randint(1, max(2, md))):
+                gop = gop * rng.choice(letters)
+            yield is_m_free(gop * _rand_scalar(rng))
+
+    return [
+        _family("images of quantum-group words are m-free", images()),
+        CheckResult("the classical derivative is not m-free",
+                    not is_m_free(_g("dbeta", 0))),
+        CheckResult("the excluded pair glues but cannot be reached",
+                    qgroup.gamma_q_member(qgroup.gamma_q_pairs()[0])),
+    ]
 
 
 def _suite_truncation(md, cases, seed):
     rng = random.Random(seed)
-    checks = []
     per = max(1, cases // 4)
-    for level in (1, 2, 3, 4):
-        n = ok = 0
+    d = lambda a: _g("dbeta", a)
+    t1 = truncate_operator(d(0), 1)
+
+    def ring_map(level):
         for _ in range(per):
             a = _rand_word(rng, rng.randint(1, 3))
             b = _rand_word(rng, rng.randint(1, 3))
             ta = truncate_operator(a, level)
             tb = truncate_operator(b, level)
-            ok += truncate_operator(a * b, level) == ta * tb
-            ok += truncate_operator(a + b, level) == ta + tb
-            n += 2
-        checks.append(CheckResult(
-            f"truncation is a ring map at level {level}", ok == n, n))
+            yield truncate_operator(a * b, level) == ta * tb
+            yield truncate_operator(a + b, level) == ta + tb
 
-    d = lambda a: _g("dbeta", a)
-    t1 = truncate_operator(d(0), 1)
-    ok = truncate_operator(d(1), 1) == t1
-    ok = ok and truncate_operator(d(-1), 1) == t1
-    checks.append(CheckResult(
+    def landmarks():
+        yield bracket_nilpotence_order(t1) == 2
+        # sigma truncated mod (q-1)^n needs exactly n brackets: each one
+        # trades an m-degree for a power of t
+        for lvl in (1, 2, 3, 4):
+            yield bracket_nilpotence_order(
+                truncate_operator(_g("sigma", 1), lvl)) == lvl
+        yield bracket_nilpotence_order(TruncatedOperator.zero(POLY_X, 2)) == 0
+
+    def bounded():
+        for _ in range(per):
+            tr = truncate_operator(_rand_word(rng, rng.randint(1, 3)),
+                                   rng.randint(1, 3))
+            yield bracket_nilpotence_order(tr) <= tr.max_m_degree() + 1
+
+    checks = [_family(f"truncation is a ring map at level {level}",
+                      ring_map(level)) for level in (1, 2, 3, 4)]
+    checks.append(_family(
         "one-step derivatives collapse to the classical one at level 1",
-        ok, 2))
-
-    ok = bracket_nilpotence_order(t1) == 2
-    # sigma truncated mod (q-1)^n needs exactly n brackets: each one
-    # trades an m-degree for a power of t
-    for lvl in (1, 2, 3, 4):
-        ok = ok and bracket_nilpotence_order(
-            truncate_operator(_g("sigma", 1), lvl)) == lvl
-    ok = ok and bracket_nilpotence_order(
-        TruncatedOperator.zero(POLY_X, 2)) == 0
-    checks.append(CheckResult("nilpotence orders of the landmarks", ok, 6))
-
-    n = ok = 0
-    for _ in range(per):
-        gop = _rand_word(rng, rng.randint(1, 3))
-        level = rng.randint(1, 3)
-        tr = truncate_operator(gop, level)
-        order = bracket_nilpotence_order(tr)
-        ok += order <= tr.max_m_degree() + 1
-        n += 1
-    checks.append(CheckResult(
-        "nilpotence bounded by m-degree plus one", ok == n, n))
+        (truncate_operator(d(1), 1) == t1, truncate_operator(d(-1), 1) == t1)))
+    checks.append(_family("nilpotence orders of the landmarks", landmarks()))
+    checks.append(_family("nilpotence bounded by m-degree plus one",
+                          bounded()))
     return checks
 
 
 def _suite_eta1_surjectivity(md, cases, seed):
-    checks = []
     pairs = qgroup.gamma_q_pairs()
-
-    ax, ay = qgroup.eta_truncated("F", 1)
-    dx, dy = pairs[0]
-    ok = ax == truncate_operator(dx, 1) and ay == truncate_operator(dy, 1)
-    checks.append(CheckResult(
-        "level-1 image of F is the first generator pair", ok, 2))
-
-    ax, ay = qgroup.eta_truncated("E", 1)
-    dx, dy = pairs[1]
-    ok = ax == truncate_operator(dx, 1) and ay == truncate_operator(dy, 1)
-    checks.append(CheckResult(
-        "level-1 image of E is the second generator pair", ok, 2))
-
-    n = ok = 0
-    for m in range(1, max(2, md) + 1):
-        for w in (f"Ediv[{m}]", f"Fdiv[{m}]"):
-            a, g = qgroup.eta(w)
-            from .opsym import is_integral_at_1
-            ok += is_integral_at_1(a) and is_integral_at_1(g)
-            n += 1
-    checks.append(CheckResult("divided powers are integral", ok == n, n))
+    checks = []
+    for letter, which, (dx, dy) in (("F", "first", pairs[0]),
+                                    ("E", "second", pairs[1])):
+        ax, ay = qgroup.eta_truncated(letter, 1)
+        checks.append(_family(
+            f"level-1 image of {letter} is the {which} generator pair",
+            (ax == truncate_operator(dx, 1), ay == truncate_operator(dy, 1))))
+    checks.append(_family(
+        "divided powers are integral",
+        (all(map(is_integral_at_1, qgroup.eta(w)))
+         for m in range(1, max(2, md) + 1)
+         for w in (f"Ediv[{m}]", f"Fdiv[{m}]"))))
     return checks
 
 

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 @pytest.mark.parametrize("setup,call", [
@@ -56,4 +57,36 @@ def test_every_imported_name_is_read():
     found = [hit for p in sorted((SRC / "qdops").glob("*.py"))
              if p.name not in ("__init__.py", "kernel.py")
              for hit in _unread_imports(p)]
+    assert found == []
+
+
+def _reads(path, strings):
+    """Names a file reads: loaded names and attributes, imported names and,
+    with `strings`, string constants."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            yield node.value
+
+
+def test_every_defined_name_is_read():
+    # string constants count inside the package: `_fold` reaches the
+    # algebra handlers by a node's `_op` name
+    package = sorted((SRC / "qdops").glob("*.py"))
+    read = {name for p in package for name in _reads(p, strings=True)}
+    read |= {name for d in ("tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))
+             for name in _reads(p, strings=False)}
+    found = [f"{p.name}:{node.lineno} {node.name}"
+             for p in package for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+             and not (node.name.startswith("__") and node.name.endswith("__"))
+             and node.name not in read]
     assert found == []

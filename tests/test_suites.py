@@ -1,7 +1,13 @@
-"""Every named verification suite runs and passes at small parameters."""
+"""Every named verification suite runs and passes at small parameters, and
+one failing case fails its row and the verdict."""
+
+import itertools
+import json
 
 import pytest
 
+from qdops import suites
+from qdops.cli import main
 from qdops.suites import verify_suite, suite_names
 from qdops.errors import UnknownSuite
 
@@ -53,3 +59,32 @@ def test_unknown_suite():
     with pytest.raises(UnknownSuite) as exc:
         verify_suite("plainly-wrong")
     assert "plainly-wrong" in str(exc.value)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_one_failing_case_fails_its_row_and_the_verdict(monkeypatch, capsys,
+                                                        as_json):
+    argv = ["verify", "note-identities", "--max-degree", "3"]
+    argv += ["--json"] if as_json else []
+    assert main(argv) == 0
+    passing = capsys.readouterr().out
+    # at max_degree 3 the positive ladder makes the first three `equals`
+    # calls and the negative ladder (the third row) the next three: the
+    # fourth call is the first case of the third row
+    real, calls = suites.equals, itertools.count()
+    monkeypatch.setattr(suites, "equals",
+                        lambda a, b: next(calls) != 3 and real(a, b))
+    assert main(argv) == 1
+    failing = capsys.readouterr().out
+    if as_json:
+        want, got = json.loads(passing), json.loads(failing)
+        assert (want["verdict"], got["verdict"]) == ("PASS", "FAIL")
+        want["results"][2]["passed"] = False
+        assert got["results"] == want["results"]
+        assert got["results"][2]["cases"] == 3
+    else:
+        want = passing.splitlines()
+        want[3] = want[3].replace("[PASS]", "[FAIL]")
+        want[-1] = want[-1].replace("verdict: PASS", "verdict: FAIL")
+        assert failing.splitlines() == want
+        assert want[3] == "  [FAIL] one-step ladder, negative twist (3 cases)"
