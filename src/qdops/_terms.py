@@ -1,11 +1,11 @@
 """The one merge rule for sparse term maps, and the arithmetic they share.
 
 Every value of the engine that is a finite sum (symbols, operators, ring
-and plane elements, shape polynomials, D-word expansions, n-variable
-potential terms, truncated m-polynomials) is a dict key -> coefficient
-without zero coefficients.  `collect` is the only place that builds one
-from terms; `nest` groups a flat map with pair keys one level deep, and
-`product` multiplies two plain maps whose keys add with `+`.
+and plane elements, shape polynomials, truncated m-polynomials) is a dict
+key -> coefficient without zero coefficients.  `collect` is the only
+place that builds one from terms; `nest` groups a flat map with pair keys
+one level deep, and `product` multiplies two plain maps whose keys add
+with `+`.
 
 `TermMap` is the base of the six term-map classes: it writes zero, the
 sum, the negative, the difference, the scalar multiple, equality and the
@@ -49,7 +49,7 @@ def nest(terms):
 
 def product(a, b):
     """{k1 + k2: sum of c1 * c2} for two maps whose keys add with `+`
-    (degrees, D-words), merged by `collect`."""
+    (degrees), merged by `collect`."""
     return collect((k1 + k2, c1 * c2)
                    for k1, c1 in a.items() for k2, c2 in b.items())
 

@@ -1,16 +1,14 @@
 """Constructive procedures: the bracket antiderivative ("find Q with
-[Q, x] = P sigma_b"), its several-variable potential construction, and
-the simplicity witness that rewrites any nonzero operator down to 1 by
-left multiplications, brackets and a final scale.
+[Q, x] = P sigma_b") as an expression dag, the several-variable potential
+("find Q with [Q, x_i] = F_i"), solved part by part on the symbols of the
+F_i, and the simplicity witness that rewrites any nonzero operator down
+to 1 by left multiplications, brackets and a final scale.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
-from ._terms import collect, product
 from .errors import CompatibilityViolation, EngineError, ZeroOperator
-from .exactscalar import ExactScalar, scalar
+from .exactscalar import ExactScalar
 from .opexpr import (
     EAdd,
     EBracket,
@@ -21,11 +19,9 @@ from .opexpr import (
     EPow,
     ESub,
     OperatorExpr,
-    _Algebra,
-    _fold,
     evaluate,
 )
-from .opsym import GradedOperator, equals, generator, twisted_bracket
+from .opsym import GradedOperator, Symbol, equals, generator, twisted_bracket
 from .rings import POLY_X, poly_n
 from .shapes import ShapeForm, shape_normalize
 
@@ -121,55 +117,6 @@ def verify_integration(word, b, Q=None, domain=POLY_X):
     lhs = evaluate(EBracket(Q, EGen("x")), domain)
     rhs = evaluate(problem_expr(word, b), domain)
     return Q, equals(lhs, rhs)
-
-
-class _WordExpansion(_Algebra):
-    """Values: {D-word: coefficient}, words in product order."""
-
-    target = "word expansion"
-
-    def num(self, e):
-        return {(): e.value}
-
-    def gen(self, e):
-        if e.name == "D":
-            return {(int(e.arg),): ExactScalar.from_int(1)}
-        raise EngineError(f"word expansion met leaf {e.name!r}")
-
-    def add(self, e, a, b):
-        return collect(chain(a.items(), b.items()))
-
-    def sub(self, e, a, b):
-        return collect(chain(a.items(), ((w, -c) for w, c in b.items())))
-
-    def neg(self, e, a):
-        return {w: -c for w, c in a.items()}
-
-    def mul(self, e, a, b):
-        return product(a, b)
-
-    def div(self, e, a, b):
-        if set(b) != {()}:
-            raise EngineError("word expansion: division by a non-scalar")
-        inv = b[()].inverse()
-        return {w: c * inv for w, c in a.items()}
-
-    def pow(self, e, base):
-        if e.k < 0:
-            raise EngineError("word expansion: negative power")
-        out = {(): ExactScalar.from_int(1)}
-        for _ in range(e.k):
-            out = product(out, base)
-        return out
-
-
-_WORD_EXPANSION = _WordExpansion()
-
-
-def word_expansion(e):
-    """Expand an x-free, twist-free expression into {D-word: coefficient},
-    words in product order (leftmost factor first)."""
-    return _fold(e, _WORD_EXPANSION)
 
 
 # ---------------------------------------------------------------------------
@@ -313,221 +260,73 @@ def simplicity_witness(f):
 
 
 # ---------------------------------------------------------------------------
-# several variables: terms, syntactic brackets, potentials
+# several variables: potentials
 # ---------------------------------------------------------------------------
 #
-# A term is (coeff, xexp, word, twist) on k[x_1..x_n]:
-#     coeff * x^xexp * prod of dbeta_i factors * sigma_vec(twist),
-# word a tuple of (coordinate, k) in product order.  Factors in distinct
-# coordinates commute, so words are kept stably sorted by coordinate.
+# The part of [P, x_v] at shift e + 1_v is the difference in v of P's
+# symbol s at shift e:  s(q_v u_v, m_v + 1) - s(u_v, m_v).
 
 
-def _canon_word(word):
-    return tuple(sorted(word, key=lambda f: f[0]))
+def _antidifference(t, v):
+    """The symbol s whose difference in v is t and which vanishes at
+    m_v = 0 (there is exactly one).
+
+    The difference keeps every u-exponent and does not raise the
+    m_v-degree, so the top m_v-degree terms c u^i m^j of t are solved
+    first: by c/(q_v^i_v - 1) u^i m^j when i_v != 0, and by
+    c/(j_v + 1) u^i m^j m_v when i_v = 0.  Their difference is then taken
+    off t, which leaves only lower m_v-degrees.
+    """
+    n = t.nvars
+    unit = tuple(int(w == v) for w in range(n))
+    s = Symbol.zero(n)
+    while not t.is_zero():
+        top = max(jv[v] for _, jv in t.coeffs)
+        piece = Symbol(n, (
+            ((iv, jv), c / (ExactScalar.q_power(iv[v], n, v) - 1)) if iv[v]
+            else ((iv, jv[:v] + (top + 1,) + jv[v + 1:]), c / (top + 1))
+            for (iv, jv), c in t.coeffs.items() if jv[v] == top))
+        s = s + piece
+        t = t - (piece.subst_shift(unit) - piece)
+    return s - s.substitute_coord(v, 0)
 
 
-def nd_term(coeff, xexp, word=(), twist=None, nvars=None):
-    if nvars is None:
-        nvars = len(xexp)
-    if twist is None:
-        twist = (0,) * nvars
-    c = coeff if isinstance(coeff, ExactScalar) else scalar(coeff, nvars)
-    return (c, tuple(xexp), _canon_word(word), tuple(twist))
-
-
-def nd_consolidate(terms):
-    acc = collect(((xe, w, tw), c) for c, xe, w, tw in terms)
-    return [(c, xe, w, tw) for (xe, w, tw), c in acc.items()]
-
-
-def _qpi(e, n, i):
-    return ExactScalar.q_power(e, n, i)
-
-
-def _qnum_i(k, n, i):
-    """(q_i^k - 1)/(q_i - 1); 1 when k = 0."""
-    if k == 0:
-        return ExactScalar.from_int(1, n)
-    return (_qpi(k, n, i) - scalar(1, n)) / (_qpi(1, n, i) - scalar(1, n))
-
-
-def nd_bracket_terms(terms, i, n):
-    """[sum of terms, x_i], term by term, staying in term form."""
-    out = []
-    for c, xe, w, tw in terms:
-        kappa = sum(k for j, k in w if j == i)
-        passc = c * (_qpi(tw[i] + kappa, n, i) - scalar(1, n))
-        if not passc.is_zero():
-            xe2 = tuple(v + (1 if j == i else 0) for j, v in enumerate(xe))
-            out.append((passc, xe2, w, tw))
-        run = 0  # sum of k over i-factors strictly to the right
-        for t in range(len(w) - 1, -1, -1):
-            j_t, k_t = w[t]
-            if j_t != i:
-                continue
-            cc = c * _qpi(tw[i] + run, n, i) * _qnum_i(k_t, n, i)
-            out.append((cc, xe, _canon_word(w[:t] + w[t + 1:]), tw))
-            run += k_t
-    return nd_consolidate(out)
-
-
-def nd_term_to_op(term, domain):
-    c, xe, w, tw = term
-    n = domain.nvars
-    op = GradedOperator.identity(domain) * c
-    for i, e in enumerate(xe):
-        if e:
-            op = op * (generator("x_i", domain, i) ** e)
-    for j, k in w:
-        op = op * generator("dbeta_i", domain, (j, k))
-    if any(tw):
-        op = op * generator("sigma_vec", domain, tw)
-    return op
-
-
-def nd_terms_to_op(terms, domain):
-    return GradedOperator(domain, chain.from_iterable(
-        nd_term_to_op(t, domain).parts.items() for t in terms))
-
-
-def _mono_expr(term, n):
-    c, xe, w, tw = term
-    e = ENum(c)
-    for i, v in enumerate(xe):
-        if v:
-            xi = EGen("x_i", i)
-            e = EMul(e, xi if v == 1 else EPow(xi, v))
-    for j, k in w:
-        e = EMul(e, EGen("dbeta_i", (j, k)))
-    if any(tw):
-        e = EMul(e, EGen("sigma_vec", tw))
-    return e
-
-
-def nd_terms_to_expr(terms, n):
-    es = [_mono_expr(t, n) for t in terms]
-    if not es:
-        return ENum(0)
-    out = es[0]
-    for e in es[1:]:
-        out = EAdd(out, e)
-    return out
-
-
-def _lift_scalar(s, n, i):
-    """Place a one-variable scalar into variable q_i of n."""
-    if n == 1:
-        return s
-    num = {}
-    for e, cf in enumerate(s.num):
-        if cf:
-            key = tuple(e if v == i else 0 for v in range(n))
-            num[key] = cf
-    den = {}
-    for e, cf in enumerate(s.den):
-        if cf:
-            key = tuple(e if v == i else 0 for v in range(n))
-            den[key] = cf
-    return ExactScalar(n, s.c, num, den)
-
-
-_int_terms_cache = {}
-
-
-def _integrate_words_i(kword, b, n, i):
-    """Antiderivative of the coordinate-i word (product order, local
-    normalization) against sigma twist b: returns [(coeff, i-word)]."""
-    key = (kword, b, n, i)
-    hit = _int_terms_cache.get(key)
-    if hit is not None:
-        return hit
-    # switch to the one-variable normalization: each nonzero letter k
-    # carries a factor [k] = (q^k - 1)/(q - 1)
-    word_1v = tuple(reversed(kword))
-    Q = integrate(word_1v, b)
-    expansion = word_expansion(Q)
-    out = []
-    for dword, c in expansion.items():
-        cc = _lift_scalar(c, n, i)
-        for k in kword:
-            cc = cc * _qnum_i(k, n, i)
-        for k in dword:
-            if k != 0:
-                cc = cc / _qnum_i(k, n, i)
-        out.append((cc, tuple((i, k) for k in dword)))
-    _int_terms_cache[key] = out
-    return out
-
-
-def _integrate_term_i(term, i, n):
-    """Terms U with [U, x_i] = term, exactly (term by term)."""
-    c, xe, w, tw = term
-    kword = tuple(k for j, k in w if j == i)
-    rest = tuple(f for f in w if f[0] != i)
-    tw_rest = tuple(0 if v == i else a for v, a in enumerate(tw))
-    out = []
-    for cc, iword in _integrate_words_i(kword, tw[i], n, i):
-        out.append((c * cc, xe, _canon_word(iword + rest), tw_rest))
-    return out
-
-
-def _family_terms(family, n):
-    out = []
-    for terms in family:
-        out.append(nd_consolidate(
-            [nd_term(c, xe, w, tw, n) for (c, xe, w, tw) in terms]))
-    return out
-
-
-def integrate_nd(family, nvars=None):
+def integrate_nd(family):
     """Potential Q with [Q, x_i] = F_i for every coordinate.
 
-    family: per coordinate, a list of terms (coeff, xexp, word, twist).
-    Returns the expression of Q; raises CompatibilityViolation when the
-    bracket symmetry [F_i, x_j] = [F_j, x_i] fails or the sweep meets a
-    residual that is not separated from the finished coordinates.
+    family: the GradedOperators F_1..F_n on k[x_1..x_n], n = len(family).
+    Q is built one coordinate v at a time: every part of the residual
+    R_v = F_v - [Q, x_v] at shift f adds the part `_antidifference` at
+    shift f - 1_v, which vanishes at m_v = 0 and so keeps Q on the
+    polynomial ring.  The bracket symmetry [F_i, x_j] = [F_j, x_i] makes
+    R_v commute with every x_w, w < v, so the parts added are free of u_w
+    and m_w and leave the finished coordinates alone.  Raises
+    CompatibilityViolation when the symmetry fails or the result misses
+    a coordinate.
     """
-    n = nvars if nvars is not None else len(family)
-    if len(family) != n:
+    n = len(family)
+    if not n or any(F.domain != poly_n(n) for F in family):
         raise CompatibilityViolation("need one operator per coordinate")
-    F = _family_terms(family, n)
-    dom = poly_n(n)
-
-    F_ops = [nd_terms_to_op(terms, dom) for terms in F]
+    dom = family[0].domain
     xs = [generator("x_i", dom, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = twisted_bracket(F_ops[i], xs[j])
-            rhs = twisted_bracket(F_ops[j], xs[i])
+            lhs = twisted_bracket(family[i], xs[j])
+            rhs = twisted_bracket(family[j], xs[i])
             if not equals(lhs, rhs):
                 raise CompatibilityViolation(
                     f"bracket symmetry fails between coordinates "
                     f"{i + 1} and {j + 1}")
 
-    Q_terms = []
-    for i in range(n):
-        Ri = nd_consolidate(
-            F[i] + [(-c, xe, w, tw)
-                    for c, xe, w, tw in nd_bracket_terms(Q_terms, i, n)])
-        # terms reaching back into finished coordinates must cancel; the
-        # term algebra is not free, so the cancellation can hide across
-        # distinct keys -- detect that through the symbols and drop it
-        off = [t for t in Ri
-               if any(j < i for j, _ in t[2]) or any(t[3][j] for j in range(i))]
-        if off:
-            if not nd_terms_to_op(off, dom).is_zero():
-                raise CompatibilityViolation(
-                    f"residual at coordinate {i + 1} is not separated "
-                    f"from the finished coordinates")
-            drop = {(xe, w, tw) for _, xe, w, tw in off}
-            Ri = [t for t in Ri if (t[1], t[2], t[3]) not in drop]
-        for term in Ri:
-            Q_terms.extend(_integrate_term_i(term, i, n))
-        Q_terms = nd_consolidate(Q_terms)
+    Q = GradedOperator.zero(dom)
+    for v in range(n):
+        R = family[v] - twisted_bracket(Q, xs[v])
+        Q = Q + GradedOperator(dom, (
+            (e[:v] + (e[v] - 1,) + e[v + 1:], _antidifference(s, v))
+            for e, s in R.parts.items()))
 
-    Q_op = nd_terms_to_op(Q_terms, dom)
     for i in range(n):
-        if not equals(twisted_bracket(Q_op, xs[i]), F_ops[i]):
+        if not equals(twisted_bracket(Q, xs[i]), family[i]):
             raise CompatibilityViolation(
                 f"constructed potential misses coordinate {i + 1}")
-    return nd_terms_to_expr(Q_terms, n)
+    return Q

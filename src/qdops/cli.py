@@ -18,6 +18,7 @@ Exit status: 0 when every check passes, 1 when a verdict fails,
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import EngineError, ParseError
@@ -259,7 +260,14 @@ def main(argv=None):
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader went away: send what is left to devnull, so the
+        # flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error {exc}", file=sys.stderr)
         return 2

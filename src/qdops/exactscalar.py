@@ -3,9 +3,13 @@
 A scalar is kept as  c * N/D  with c a rational number and N, D primitive
 integer-coefficient polynomials, gcd(N, D) = 1, D with positive leading
 coefficient.  That triple is canonical in one variable, so equality and
-hashing are structural.  In several variables the reduction is best-effort
-(content, common monomials, and a univariate gcd when both parts live in
-the same single variable) and equality falls back to cross-multiplication.
+hashing are structural.  In several variables N and D are sparse maps, and
+one rule reduces them: for each variable q_v, the gcd of the q_v-contents
+of N and D (the gcds of their coefficients read as polynomials in q_v) is
+divided out.  That cancels every common factor that lives in a single
+variable, which is every factor the engine's denominators have; a mixed
+factor such as q1 + q2 is not cancelled, so equality falls back to
+cross-multiplication.
 
 `truncate` maps a scalar with no pole at q = 1 into Q[t]/(t^n) via
 q = 1 + t; `valuation_at_1` is the (q-1)-adic valuation that guards it.
@@ -69,35 +73,35 @@ def _mlead(a):
     return a[max(a)] if a else 0
 
 
-def _single_variable(a, nv):
-    """-1 if a is constant, the lone live coordinate if univariate, else None."""
-    var = -1
-    for e in a:
-        live = [i for i in range(nv) if e[i]]
-        if len(live) > 1:
-            return None
-        if live:
-            if var == -1:
-                var = live[0]
-            elif var != live[0]:
-                return None
-    return var
-
-
-def _to_univ(a, v):
-    out = [0] * (1 + max((e[v] for e in a), default=0))
+def _rows(a, v):
+    """a read as a polynomial in the other variables: {their exponents:
+    the coefficient of that monomial, a dense polynomial in q_v}."""
+    rows = {}
     for e, c in a.items():
-        out[e[v]] = c
-    return out
+        row = rows.setdefault(e[:v] + e[v + 1:], [])
+        if len(row) <= e[v]:
+            row.extend([0] * (e[v] + 1 - len(row)))
+        row[e[v]] = c
+    return rows
 
 
-def _from_univ(p, v, nv):
+def _content(rows, g=()):
+    """gcd of g and the q_v-coefficients in rows (the q_v-content)."""
+    g = list(g)
+    for p in rows.values():
+        g = kernel.pgcd(g, p)
+        if len(g) == 1:
+            break
+    return g
+
+
+def _unrows(rows, g, v):
+    """The inverse of `_rows`, after dividing every coefficient by g."""
     out = {}
-    for i, c in enumerate(p):
-        if c:
-            e = [0] * nv
-            e[v] = i
-            out[tuple(e)] = c
+    for rest, p in rows.items():
+        for k, c in enumerate(kernel.pdiv_exact(p, g)):
+            if c:
+                out[rest[:v] + (k,) + rest[v:]] = c
     return out
 
 
@@ -145,25 +149,16 @@ class ExactScalar:
             c = Fraction(c) * Fraction(cn, cd)
             num = {e: x // cn for e, x in num.items()}
             den = {e: x // cd for e, x in den.items()}
-            # cancel common monomial factors
-            lows = [min(e[i] for e in num) for i in range(nvars)]
-            lowd = [min(e[i] for e in den) for i in range(nvars)]
-            shift = tuple(min(a, b) for a, b in zip(lows, lowd))
-            if any(shift):
-                num = {tuple(x - s for x, s in zip(e, shift)): v for e, v in num.items()}
-                den = {tuple(x - s for x, s in zip(e, shift)): v for e, v in den.items()}
-            vn = _single_variable(num, nvars)
-            vd = _single_variable(den, nvars)
-            if vn is not None and vd is not None and (vn == vd or vn == -1 or vd == -1):
-                v = vn if vn != -1 else vd
-                if v != -1:
-                    un, ud = _to_univ(num, v), _to_univ(den, v)
-                    g = kernel.pgcd(un, ud)
-                    if len(g) > 1 or g[0] != 1:
-                        un = kernel.pdiv_exact(un, g)
-                        ud = kernel.pdiv_exact(ud, g)
-                    num = _from_univ(un, v, nvars)
-                    den = _from_univ(ud, v, nvars)
+            # one rule per variable q_v: divide out the gcd of the
+            # q_v-contents of num and den
+            for v in range(nvars):
+                dr = _rows(den, v)
+                g = _content(dr)
+                if len(g) > 1:
+                    nr = _rows(num, v)
+                    g = _content(nr, g)
+                    if len(g) > 1:
+                        num, den = _unrows(nr, g, v), _unrows(dr, g, v)
             if _mlead(den) < 0:
                 den = _mscale(den, -1)
                 num = _mscale(num, -1)

@@ -16,9 +16,9 @@ dbeta_y(a)); with n variables the leaves are `x1..xn`, `s[a1,..,an]` and
 `Di[k]`, and the scalars `q1..qn` take the place of `q`.  Division is
 parsed at term level and must divide by a scalar.
 
-Every interpretation of a tree (printing, evaluation here; shapes,
-D-word expansion, the U_q morphisms and the quantum-plane action
-elsewhere) is one call of `_fold(root, algebra)`.  The fold walks the
+Every interpretation of a tree (printing, evaluation here; shapes, the
+U_q morphisms and the quantum-plane action elsewhere) is one call of
+`_fold(root, algebra)`.  The fold walks the
 tree bottom-up with an explicit stack and interprets each distinct node
 once per call, so deep trees and the dags built by `integrate` cost time
 linear in their distinct nodes.  An algebra is an `_Algebra` with one

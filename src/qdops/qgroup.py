@@ -207,11 +207,7 @@ class _Hom(_Words):
             return self.letters[e.name]
         if e.name in ("Ediv", "Fdiv"):
             m = int(e.arg)
-            out = GradedOperator.identity(self.domain)
-            base = self.letters[e.name[0]]
-            for _ in range(m):
-                out = out * base
-            return out * q_factorial(m).inverse()
+            return self.letters[e.name[0]] ** m * q_factorial(m).inverse()
         raise UnsupportedGenerator(f"not a U_q leaf: {e.name!r}")
 
     def div(self, e, a):
@@ -220,10 +216,7 @@ class _Hom(_Words):
     def pow(self, e, base):
         if e.k < 0:
             raise EngineError("negative power of a U_q word")
-        out = GradedOperator.identity(self.domain)
-        for _ in range(e.k):
-            out = out * base
-        return out
+        return base ** e.k
 
     def bracket(self, e, a, b):
         if e.twist:

@@ -15,7 +15,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import CompatibilityViolation, UnknownSuite
+from .errors import UnknownSuite
 from .exactscalar import ExactScalar, scalar
 from .rings import POLY_X, POLY_Y, poly_n, PlaneElement, RingElement
 from .opsym import (GradedOperator, generator, twisted_bracket, equals,
@@ -303,16 +303,20 @@ def _suite_immediate_formulae(md, cases, seed):
     ]
 
 
-def _rand_nd_terms(rng, nvars, md):
-    terms = []
+def _rand_nd_op(rng, dom, md):
+    """One to three terms  c * x^xexp * (D-word) * s[twist]  on k[x_1..x_n]."""
+    nv = dom.nvars
+    G = GradedOperator.zero(dom)
     for _ in range(rng.randint(1, 3)):
-        coeff = _rand_scalar(rng, nvars)
-        xexp = tuple(rng.randint(0, max(1, md)) for _ in range(nvars))
-        word = tuple((rng.randrange(nvars), rng.randint(-2, 2))
-                     for _ in range(rng.randint(0, 2)))
-        twist = tuple(rng.randint(-1, 1) for _ in range(nvars))
-        terms.append(alg.nd_term(coeff, xexp, word, twist, nvars))
-    return alg.nd_consolidate(terms)
+        term = _one(dom) * _rand_scalar(rng, nv)
+        for i in range(nv):
+            term = term * _g("x_i", i, dom) ** rng.randint(0, max(1, md))
+        for _ in range(rng.randint(0, 2)):
+            term = term * _g("dbeta_i",
+                             (rng.randrange(nv), rng.randint(-2, 2)), dom)
+        twist = tuple(rng.randint(-1, 1) for _ in range(nv))
+        G = G + term * _g("sigma_vec", twist, dom)
+    return G
 
 
 def _suite_nvariables(md, cases, seed):
@@ -362,27 +366,17 @@ def _suite_nvariables(md, cases, seed):
         checks.append(_family(f"same-coordinate push relations (n={nv})",
                               pushes()))
 
-        n = ok = attempts = 0
-        want = max(1, cases)
-        while n < want and attempts < 20 * want:
-            attempts += 1
-            G = _rand_nd_terms(rng, nv, md)
-            family = [alg.nd_bracket_terms(G, i, nv) for i in range(nv)]
-            try:
-                Qe = alg.integrate_nd(family, nv)
-            except CompatibilityViolation:
-                continue            # junk residual: redraw deterministically
-            Q = evaluate(Qe, dom)
-            good = all(
-                equals(twisted_bracket(Q, xs[i]),
-                       alg.nd_terms_to_op(family[i], dom))
-                for i in range(nv))
-            ok += good
-            n += 1
-        checks.append(CheckResult(
-            f"multi-integration on bracket families (n={nv})",
-            ok == n and n == want, n,
-            "" if n == want else "too many redraws"))
+        def potentials():
+            for _ in range(max(1, cases)):
+                G = _rand_nd_op(rng, dom, md)
+                family = [twisted_bracket(G, x) for x in xs]
+                Q = alg.integrate_nd(family)
+                yield Q.check_preserves() and all(
+                    equals(twisted_bracket(Q, x), f)
+                    for x, f in zip(xs, family))
+
+        checks.append(_family(
+            f"multi-integration on bracket families (n={nv})", potentials()))
     return checks
 
 

@@ -10,10 +10,10 @@ from qdops.opsym import GradedOperator, generator, twisted_bracket, equals
 from qdops.opexpr import parse, evaluate, expr_str
 from qdops.shapes import ShapeForm, shape_normalize
 from qdops.algorithms import (integrate, verify_integration, problem_expr,
-                              word_expansion, simplicity_witness, replay,
-                              integrate_nd, nd_term, nd_bracket_terms,
-                              nd_terms_to_op)
+                              simplicity_witness, replay, integrate_nd)
+from qdops.cli import main
 from qdops.errors import ZeroOperator, CompatibilityViolation
+from qdops.suites import _rand_nd_op
 
 qp = ExactScalar.q_power
 ONE = GradedOperator.identity(POLY_X)
@@ -64,12 +64,6 @@ def test_integrate_sweep():
         b = rng.randint(-3, 3)
         _, ok = verify_integration(word, b)
         assert ok, (word, b)
-
-
-def test_word_expansion():
-    e = parse("D[0]*D[1] - q*D[1]*D[0] + 2")
-    got = word_expansion(e)
-    assert got == {(0, 1): scalar(1), (1, 0): -qp(1), (): scalar(2)}
 
 
 def test_problem_expr_round_trip():
@@ -125,50 +119,53 @@ def test_witness_random_replay():
 
 # -- several variables --------------------------------------------------------
 
+def nd(text, n=2):
+    return evaluate(parse(text), poly_n(n))
+
+
+def assert_potential(family):
+    """integrate_nd answers with Q on the polynomial ring, [Q, x_i] = F_i."""
+    dom = family[0].domain
+    Q = integrate_nd(family)
+    assert Q.check_preserves()
+    for i, F in enumerate(family):
+        assert equals(twisted_bracket(Q, generator("x_i", dom, i)), F)
+    return Q
+
+
 def test_integrate_nd_classical():
-    F1 = [nd_term(1, (0, 0), (), (0, 0))]
-    Q = integrate_nd([F1, []], nvars=2)
-    tag = poly_n(2)
-    qop = evaluate(Q, tag)
-    x1 = generator("x_i", tag, 0)
-    x2 = generator("x_i", tag, 1)
-    assert equals(twisted_bracket(qop, x1), nd_terms_to_op(F1, tag))
-    assert twisted_bracket(qop, x2).is_zero()
+    Q = assert_potential([nd("1"), nd("0")])
+    assert equals(Q, nd("D1[0]"))
 
 
 def test_integrate_nd_crossed_family():
-    F1 = [nd_term(1, (0, 1), (), (0, 0))]   # x2
-    F2 = [nd_term(1, (1, 0), (), (0, 0))]   # x1
-    tag = poly_n(2)
-    Q = evaluate(integrate_nd([F1, F2], nvars=2), tag)
-    for i, F in ((0, F1), (1, F2)):
-        xi = generator("x_i", tag, i)
-        assert equals(twisted_bracket(Q, xi), nd_terms_to_op(F, tag))
+    assert_potential([nd("x2"), nd("x1")])
 
 
 def test_integrate_nd_partial_family():
     # F = (x1, 0) is compatible: Q = x1 d1 works
-    F1 = [nd_term(1, (1, 0), (), (0, 0))]
-    tag = poly_n(2)
-    Q = evaluate(integrate_nd([F1, []], nvars=2), tag)
-    assert equals(twisted_bracket(Q, generator("x_i", tag, 0)),
-                  nd_terms_to_op(F1, tag))
-    assert twisted_bracket(Q, generator("x_i", tag, 1)).is_zero()
+    assert_potential([nd("x1"), nd("0")])
 
 
 def test_integrate_nd_incompatible():
     # F1 = d2 brackets against x2 to 1, but F2 = 0 brackets to 0
-    F1 = [nd_term(1, (0, 0), ((1, 0),), (0, 0))]
     with pytest.raises(CompatibilityViolation):
-        integrate_nd([F1, []], nvars=2)
+        integrate_nd([nd("D2[0]"), nd("0")])
 
 
-def test_nd_bracket_terms_match_engine():
-    tag = poly_n(2)
-    terms = [nd_term(2, (1, 1), ((0, 1),), (1, 0)),
-             nd_term(1, (0, 2), (), (0, -1))]
-    op = nd_terms_to_op(terms, tag)
-    for i in (0, 1):
-        xi = generator("x_i", tag, i)
-        got = nd_terms_to_op(nd_bracket_terms(terms, i, 2), tag)
-        assert equals(got, twisted_bracket(op, xi))
+@pytest.mark.parametrize("nv", [2, 3])
+def test_integrate_nd_on_random_bracket_families(nv):
+    """Every family [G, x_i] of a G drawn as the nvariables suite draws it
+    has a potential, with twisted derivatives and q-power coefficients."""
+    rng, dom = random.Random(100 + nv), poly_n(nv)
+    for _ in range(8):
+        G = _rand_nd_op(rng, dom, 2)
+        assert_potential([twisted_bracket(G, generator("x_i", dom, i))
+                          for i in range(nv)])
+
+
+@pytest.mark.parametrize("seed", [245835, 571145])
+def test_nvariables_seeds_that_once_failed(seed, capsys):
+    assert main(["verify", "nvariables", "--seed", str(seed),
+                 "--cases", "1"]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out

@@ -1,6 +1,10 @@
 """Command-line front end: output text, JSON schema, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -160,3 +164,22 @@ def test_nesting_past_the_limit_is_a_parse_error(capsys, argv):
     assert (got, out) == (2, "")
     assert "parse error" in err and "nesting deeper" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["x", "(x+D[1]+s[2])^11"],
+                         ids=["short", "long"])
+def test_closed_pipe_exits_without_a_traceback(expr):
+    # the reading end is closed before the command starts, so every
+    # write to stdout fails as it would under `qdops eval ... | head -c 1`
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        p = subprocess.run([sys.executable, "-m", "qdops.cli", "eval", expr],
+                           stdout=w, stderr=subprocess.PIPE, text=True,
+                           timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(w)
+    assert p.returncode == 1
+    assert "Traceback" not in p.stderr and "BrokenPipeError" not in p.stderr

@@ -153,6 +153,41 @@ def test_several_variables():
     assert prod == a * a - b * b
 
 
+# univariate factors, as dense coefficient lists: q, q - 1, q + 1,
+# q^2 + q + 1, 2q - 3
+_FACTORS = ([0, 1], [-1, 1], [1, 1], [1, 1, 1], [-3, 2])
+
+
+def rand_factored(rng, nv):
+    """c * (product of univariate factors in random variables), each
+    factor to the power 1 or -1."""
+    out = ExactScalar.from_fraction(Fraction(rng.choice([-3, -1, 1, 2]),
+                                             rng.randint(1, 4)), nv)
+    for _ in range(rng.randint(1, 5)):
+        v, f = rng.randrange(nv), rng.choice(_FACTORS)
+        p = ExactScalar(nv, 1, {tuple(k if w == v else 0 for w in range(nv)): c
+                                for k, c in enumerate(f) if c},
+                        {(0,) * nv: 1})
+        out = out * p if rng.random() < 0.5 else out / p
+    return out
+
+
+def test_several_variables_lowest_terms():
+    # (q1-1)(q3-1) / (q1 (q3-1)^2) cancels to (q1-1) / (q1 (q3-1))
+    q1, q3 = ExactScalar.q_power(1, 3, 0), ExactScalar.q_power(1, 3, 2)
+    a = ExactScalar(3, 1, ((q1 - 1) * (q3 - 1)).num,
+                    (q1 * (q3 - 1) * (q3 - 1)).num)
+    want = (q1 - 1) / (q1 * (q3 - 1))
+    assert (a.c, a.num, a.den) == (want.c, want.num, want.den)
+    assert len(a.den) == 2
+    rng = random.Random(5)
+    for _ in range(60):
+        nv = rng.choice([2, 3])
+        a, b = rand_factored(rng, nv), rand_factored(rng, nv)
+        back = (a * b) / b
+        assert (back.c, back.num, back.den) == (a.c, a.num, a.den)
+
+
 def test_truncated_scalar_ops():
     one = TruncatedScalar.one(2)
     t = TruncatedScalar(2, (0, 1))

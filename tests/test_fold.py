@@ -3,7 +3,6 @@ not exhaust the Python stack, and shared subtrees are interpreted once."""
 
 import pytest
 
-from qdops.algorithms import word_expansion
 from qdops.cli import main
 from qdops.exactscalar import scalar
 from qdops.opexpr import EAdd, EGen, evaluate, parse
@@ -27,10 +26,6 @@ def doubling(leaf, levels=LEVELS):
 def test_dag_shape_normalize():
     sf = shape_normalize(doubling(EGen("D", 1)))
     assert sf.classes == {(0, (1,)): {0: TWO_TO_LEVELS}}
-
-
-def test_dag_word_expansion():
-    assert word_expansion(doubling(EGen("D", 1))) == {(1,): TWO_TO_LEVELS}
 
 
 def test_dag_alpha():

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 from qdops.exactscalar import ExactScalar, scalar
 from qdops.opexpr import (parse, evaluate, expr_str, decompose_degree0, EAdd,
                           EBracket, EDiv, EGen, EMul, ENeg, ENum, EPow, ESub)
-from qdops.opsym import GradedOperator, Symbol, generator, compose, equals
+from qdops.opsym import (GradedOperator, Symbol, generator, compose, equals,
+                         twisted_bracket)
 from qdops.render import operator_str
 from qdops.rings import POLY_X, POLY_Y, LAURENT_X, poly_n, RingElement
-from qdops.errors import (CompatibilityViolation, ParseError, NotDegreeZero,
-                          UnsupportedGenerator)
-from qdops.algorithms import (integrate_nd, nd_bracket_terms, nd_consolidate,
-                              nd_term)
+from qdops.errors import ParseError, NotDegreeZero, UnsupportedGenerator
+from qdops.algorithms import integrate_nd
+from qdops.suites import _rand_nd_op
 
 qp = ExactScalar.q_power
 
@@ -174,22 +174,12 @@ def test_q_names_in_n_variables():
 def test_potentials_read_back(nv):
     """integrate_nd answers on random bracket families (drawn as the
     nvariables suite draws them) print as text that reads back."""
-    rng, dom, done = random.Random(nv), poly_n(nv), 0
-    while done < 10:
-        G = nd_consolidate([
-            nd_term(qp(rng.randint(-2, 2), nv, rng.randrange(nv))
-                    * Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)),
-                    [rng.randint(0, 2) for _ in range(nv)],
-                    [(rng.randrange(nv), rng.randint(-2, 2))
-                     for _ in range(rng.randint(0, 2))],
-                    [rng.randint(-1, 1) for _ in range(nv)], nv)
-            for _ in range(rng.randint(1, 3))])
-        try:
-            Q = integrate_nd([nd_bracket_terms(G, i, nv) for i in range(nv)], nv)
-        except CompatibilityViolation:
-            continue
-        assert equals(evaluate(parse(expr_str(Q)), dom), evaluate(Q, dom))
-        done += 1
+    rng, dom = random.Random(nv), poly_n(nv)
+    for _ in range(10):
+        G = _rand_nd_op(rng, dom, 2)
+        Q = integrate_nd([twisted_bracket(G, generator("x_i", dom, i))
+                          for i in range(nv)])
+        assert_printed_symbols_read_back(Q)
 
 
 def test_scalar_power_base_is_parenthesized():
