@@ -22,6 +22,7 @@ from .errors import (
     ZeroOperator,
     CompatibilityViolation,
     GlueFailure,
+    BudgetExceeded,
     ParseError,
 )
 from .exactscalar import ExactScalar, TruncatedScalar, q_number, q_factorial
@@ -39,6 +40,7 @@ __all__ = [
     "ZeroOperator",
     "CompatibilityViolation",
     "GlueFailure",
+    "BudgetExceeded",
     "ParseError",
     "ExactScalar",
     "TruncatedScalar",

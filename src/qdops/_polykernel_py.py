@@ -3,11 +3,33 @@
 A polynomial is a list of Python ints, index = exponent, no trailing zeros;
 the zero polynomial is the empty list.  These routines are the hot kernel
 under the exact scalar type, re-exported by `qdops.kernel`.
+
+`pgcd` answers the common small cases without a remainder sequence: with a
+nonzero constant operand the gcd is the gcd of the two contents, and with
+a monomial operand c*q^k it is q^min(k, val b) times that content gcd
+(val b being the q-valuation of the other operand).  Most gcds the scalar
+field asks for are of this kind.
+
+`pmul` and the q-powers of `exactscalar` raise BudgetExceeded rather than
+build a polynomial of degree above MAX_DEGREE, so an input such as
+`D[10000000]` fails at once instead of filling memory.
 """
 
 from math import gcd
 
+from .errors import BudgetExceeded
+
 BACKEND = "python"
+
+# the largest degree of a dense polynomial the engine will build
+MAX_DEGREE = 100_000
+
+
+def check_degree(d):
+    """Raise BudgetExceeded when degree d is past MAX_DEGREE."""
+    if d > MAX_DEGREE:
+        raise BudgetExceeded(
+            f"polynomial of degree {d} exceeds the limit {MAX_DEGREE}")
 
 
 def pnorm(a):
@@ -40,7 +62,10 @@ def pneg(a):
 def pmul(a, b):
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    n = len(a) + len(b) - 1
+    if n > MAX_DEGREE:
+        check_degree(n - 1)
+    out = [0] * n
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -108,6 +133,14 @@ def _prem(a, b):
             a[s + j] -= la * b[j]
 
 
+def _monomial_gcd(m, b):
+    """gcd of the monomial m = c*q^k and the nonzero b."""
+    v = 0
+    while not b[v]:
+        v += 1
+    return [0] * min(len(m) - 1, v) + [gcd(m[-1], pcontent(b))]
+
+
 def pgcd(a, b):
     """Gcd in Z[x], primitive-PRS, normalized to positive leading coeff."""
     a, b = pnorm(a), pnorm(b)
@@ -118,6 +151,12 @@ def pgcd(a, b):
             return []
         g = pcontent(a)
         return [c // g if a[-1] > 0 else -c // g for c in a]
+    if len(a) == 1 or len(b) == 1:
+        return [gcd(pcontent(a), pcontent(b))]
+    if not a[0] and not any(a[:-1]):
+        return _monomial_gcd(a, b)
+    if not b[0] and not any(b[:-1]):
+        return _monomial_gcd(b, a)
     ca, cb = pcontent(a), pcontent(b)
     cg = gcd(ca, cb)
     a = [c // ca for c in a]

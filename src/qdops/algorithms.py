@@ -7,6 +7,8 @@ to 1 by left multiplications, brackets and a final scale.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .errors import CompatibilityViolation, EngineError, ZeroOperator
 from .exactscalar import ExactScalar
 from .opexpr import (
@@ -33,6 +35,35 @@ from .shapes import ShapeForm, shape_normalize
 # (a_1 is the rightmost factor).  integrate returns Q with [Q, x] = P s[b].
 
 _int_cache = {}
+
+# the most integrate values on POLY_X that verify_integration keeps
+INT_VALUE_CACHE_SIZE = 512
+
+
+class _IntValues(OrderedDict):
+    """The values on POLY_X of the nodes `integrate` returned, keyed by
+    the node objects themselves and evicted least recently used first:
+    the `known` memo of `opexpr._fold`.  The antiderivative of a word is
+    built from those of shorter words, so verifying it reuses theirs."""
+
+    def __init__(self):
+        super().__init__()
+        self.nodes = set()      # every node integrate returned
+
+    def get(self, e):
+        v = super().get(e)
+        if v is not None:
+            self.move_to_end(e)
+        return v
+
+    def keep(self, e, value):
+        if e in self.nodes:
+            self[e] = value
+            if len(self) > INT_VALUE_CACHE_SIZE:
+                self.popitem(last=False)
+
+
+_int_value_cache = _IntValues()
 
 
 def _qp(e):
@@ -94,6 +125,7 @@ def integrate(word, b=0):
         out = EMul(ENum(c.inverse()), terms)
 
     _int_cache[key] = out
+    _int_value_cache.nodes.add(out)
     return out
 
 
@@ -114,7 +146,8 @@ def verify_integration(word, b, Q=None, domain=POLY_X):
     """Check [Q, x] = P s[b] by symbols; returns (Q, ok)."""
     if Q is None:
         Q = integrate(word, b)
-    lhs = evaluate(EBracket(Q, EGen("x")), domain)
+    known = _int_value_cache if domain == POLY_X else None
+    lhs = evaluate(EBracket(Q, EGen("x")), domain, known)
     rhs = evaluate(problem_expr(word, b), domain)
     return Q, equals(lhs, rhs)
 

@@ -53,6 +53,12 @@ class GlueFailure(EngineError):
     name = "GlueFailure"
 
 
+class BudgetExceeded(EngineError):
+    """A dense polynomial would pass the kernel's degree limit."""
+
+    name = "BudgetExceeded"
+
+
 class ParseError(EngineError):
     """Raised with the offset of the offending character."""
 

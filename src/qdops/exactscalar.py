@@ -28,6 +28,7 @@ _ONE = (1,)
 
 def _mono(e):
     """The 1-variable integer polynomial q^e (e >= 0)."""
+    kernel.check_degree(e)
     return (0,) * e + (1,)
 
 
@@ -165,6 +166,14 @@ class ExactScalar:
             self.nvars, self.c, self.num, self.den = nvars, c, num, den
         self._hash = None
 
+    @staticmethod
+    def _canonical(nvars, c, num, den):
+        """The scalar with parts already in canonical form (c a Fraction),
+        taken as they are."""
+        s = object.__new__(ExactScalar)
+        s.nvars, s.c, s.num, s.den, s._hash = nvars, c, num, den, None
+        return s
+
     # -- factories ---------------------------------------------------------
 
     @staticmethod
@@ -186,8 +195,8 @@ class ExactScalar:
         """q^e (Laurent: e may be negative); in n variables, q_var^e."""
         if nvars == 1:
             if e >= 0:
-                return ExactScalar(1, 1, _mono(e), _ONE)
-            return ExactScalar(1, 1, _ONE, _mono(-e))
+                return ExactScalar._canonical(1, Fraction(1), _mono(e), _ONE)
+            return ExactScalar._canonical(1, Fraction(1), _ONE, _mono(-e))
         exp = [0] * nvars
         exp[var] = abs(e)
         t = {tuple(exp): 1}
@@ -259,7 +268,7 @@ class ExactScalar:
     def __neg__(self):
         if self.c == 0:
             return self
-        return ExactScalar(self.nvars, -self.c, self.num, self.den)
+        return ExactScalar._canonical(self.nvars, -self.c, self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -295,6 +304,10 @@ class ExactScalar:
     def inverse(self):
         if self.c == 0:
             raise DivisionByZero("inverting zero scalar")
+        if self.nvars == 1:
+            # num and den both lead positive, so the swap is canonical; in
+            # several variables the new den may lead negative
+            return ExactScalar._canonical(1, 1 / self.c, self.den, self.num)
         return ExactScalar(self.nvars, 1 / self.c, self.den, self.num)
 
     def __truediv__(self, other):

@@ -2,6 +2,7 @@
 
 from ._polykernel_py import (
     BACKEND,
+    check_degree,
     padd,
     pcontent,
     pdiv_exact,

@@ -33,7 +33,8 @@ a ** e.k; num, gen, div and bracket raise EngineError naming the node
 unless the target defines them.  A target that reads a child some other
 way (the U_q targets evaluate a divisor as a plain scalar) overrides
 `kids` to leave it out.  Handlers must never change a child's value in
-place: memoized values are shared by every parent of the subtree.
+place: memoized values are shared by every parent of the subtree, and a
+memo passed as `known` shares them with later calls too.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from .rings import POLY_X
 # ---------------------------------------------------------------------------
 
 class OperatorExpr:
+    __slots__ = ()
+
     def __str__(self):
         return expr_str(self)
 
@@ -87,6 +90,7 @@ def _as_expr(v):
 
 
 class ENum(OperatorExpr):
+    __slots__ = ("value",)
     _op = "num"
 
     def __init__(self, value):
@@ -98,6 +102,7 @@ class EGen(OperatorExpr):
     q_i, E, F, K, Kinv, Ediv, Fdiv}; arg as the generator wants it (q_i,
     the scalar q_{i+1} of k[x_1..x_n], evaluates to a scalar)."""
 
+    __slots__ = ("name", "arg")
     _op = "gen"
 
     def __init__(self, name, arg=None):
@@ -106,6 +111,8 @@ class EGen(OperatorExpr):
 
 
 class _Binary(OperatorExpr):
+    __slots__ = ("a", "b")
+
     def __init__(self, a, b):
         self.a, self.b = a, b
 
@@ -114,22 +121,27 @@ class _Binary(OperatorExpr):
 
 
 class EAdd(_Binary):
+    __slots__ = ()
     _op = "add"
 
 
 class ESub(_Binary):
+    __slots__ = ()
     _op = "sub"
 
 
 class EMul(_Binary):
+    __slots__ = ()
     _op = "mul"
 
 
 class EDiv(_Binary):
+    __slots__ = ()
     _op = "div"
 
 
 class ENeg(OperatorExpr):
+    __slots__ = ("a",)
     _op = "neg"
 
     def __init__(self, a):
@@ -140,6 +152,7 @@ class ENeg(OperatorExpr):
 
 
 class EPow(OperatorExpr):
+    __slots__ = ("base", "k")
     _op = "pow"
 
     def __init__(self, base, k):
@@ -150,6 +163,7 @@ class EPow(OperatorExpr):
 
 
 class EBracket(OperatorExpr):
+    __slots__ = ("a", "b", "twist")
     _op = "bracket"
 
     def __init__(self, a, b, twist=0):
@@ -163,13 +177,18 @@ class EBracket(OperatorExpr):
 # the fold
 # ---------------------------------------------------------------------------
 
-def _fold(root, alg):
+def _fold(root, alg, known=None):
     """Interpret the expression `root` in the algebra `alg`.
 
     Post-order over the children `alg.kids(e)`, leftmost first, with an
     explicit stack (no recursion, so depth is unbounded) and a memo on
     node identity for this call (so a shared subtree is interpreted once
     and a dag costs time linear in its distinct nodes).
+
+    `known`, if given, is a memo that outlives the call: a node for which
+    `known.get(e)` returns a value is not descended into, and every value
+    the fold computes is offered to `known.keep(e, value)`, which stores
+    the ones it wants (see `algorithms.verify_integration`).
     """
     memo = {}
     stack = [root]
@@ -178,13 +197,21 @@ def _fold(root, alg):
         if id(e) in memo:
             stack.pop()
             continue
+        if known is not None:
+            v = known.get(e)
+            if v is not None:
+                memo[id(e)] = v
+                stack.pop()
+                continue
         kids = alg.kids(e)
         todo = [k for k in kids if id(k) not in memo]
         if todo:
             stack.extend(reversed(todo))
             continue
         stack.pop()
-        memo[id(e)] = getattr(alg, e._op)(e, *[memo[id(k)] for k in kids])
+        v = memo[id(e)] = getattr(alg, e._op)(e, *[memo[id(k)] for k in kids])
+        if known is not None:
+            known.keep(e, v)
     return memo[id(root)]
 
 
@@ -541,9 +568,10 @@ def _invert_monomial(op):
                           {tuple(-x for x in e): Symbol(nv, {inv_key: w})})
 
 
-def evaluate(e, domain=POLY_X):
-    """Expression -> GradedOperator (scalars become scalar multiples of 1)."""
-    return _promote(_fold(e, _Eval(domain)), domain)
+def evaluate(e, domain=POLY_X, known=None):
+    """Expression -> GradedOperator (scalars become scalar multiples of 1).
+    `known` is the fold's memo across calls (see `_fold`)."""
+    return _promote(_fold(e, _Eval(domain), known), domain)
 
 
 class _Eval(_Algebra):

@@ -1,5 +1,6 @@
 """Bracket antiderivatives and the simplicity reduction."""
 
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from qdops.exactscalar import ExactScalar, scalar
 from qdops.rings import POLY_X, poly_n
 from qdops.opsym import GradedOperator, generator, twisted_bracket, equals
-from qdops.opexpr import parse, evaluate, expr_str
+from qdops.opexpr import OperatorExpr, parse, evaluate, expr_str
 from qdops.shapes import ShapeForm, shape_normalize
+from qdops import algorithms
 from qdops.algorithms import (integrate, verify_integration, problem_expr,
                               simplicity_witness, replay, integrate_nd)
 from qdops.cli import main
@@ -64,6 +66,49 @@ def test_integrate_sweep():
         b = rng.randint(-3, 3)
         _, ok = verify_integration(word, b)
         assert ok, (word, b)
+
+
+def _memo_cases():
+    """Every word of length <= 2 with twists -3..3, then 50 seeded
+    length-4 words, in a seeded shuffled order."""
+    rng = random.Random(23)
+    cases = [(w, b) for n in range(3)
+             for w in itertools.product(range(-2, 3), repeat=n)
+             for b in range(-3, 4)]
+    cases += [(tuple(rng.randint(-2, 2) for _ in range(4)), rng.randint(-3, 3))
+              for _ in range(50)]
+    rng.shuffle(cases)
+    return cases
+
+
+def test_memo_values_equal_fresh_evaluation():
+    algorithms._int_value_cache.clear()
+    for word, b in _memo_cases():
+        Q, ok = verify_integration(word, b)
+        assert ok, (word, b)
+        # the memo now holds Q's value, and reading it back through the
+        # memo gives what a fold without the memo computes
+        fresh = evaluate(Q)
+        assert equals(algorithms._int_value_cache[Q], fresh)
+        assert equals(evaluate(Q, POLY_X, algorithms._int_value_cache), fresh)
+
+
+def test_memo_is_bounded_and_keyed_by_nodes(monkeypatch):
+    size = 30
+    monkeypatch.setattr(algorithms, "INT_VALUE_CACHE_SIZE", size)
+    memo = algorithms._int_value_cache
+    memo.clear()
+    cases = _memo_cases()[:2 * size]
+    for word, b in cases:
+        _, ok = verify_integration(word, b)
+        assert ok
+        assert len(memo) <= size
+    assert len(memo) == size
+    nodes = {id(v): v for v in algorithms._int_cache.values()}
+    for k in memo:
+        assert isinstance(k, OperatorExpr) and nodes.get(id(k)) is k
+    # the most recently verified words stay
+    assert integrate(*cases[-1]) in memo
 
 
 def test_problem_expr_round_trip():

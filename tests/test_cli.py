@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -185,3 +186,30 @@ def test_closed_pipe_exits_without_a_traceback(expr):
         os.close(w)
     assert p.returncode == 1
     assert "Traceback" not in p.stderr and "BrokenPipeError" not in p.stderr
+
+
+def test_huge_q_power_is_a_typed_error_at_once():
+    # q^10^7 would be a dense polynomial of ten million coefficients; the
+    # kernel's degree budget refuses it before building anything
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    t0 = time.monotonic()
+    p = subprocess.run([sys.executable, "-m", "qdops.cli", "eval", "D[10000000]"],
+                       capture_output=True, text=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=path))
+    assert time.monotonic() - t0 < 2.0
+    assert p.returncode == 3
+    assert p.stderr.startswith("BudgetExceeded: ")
+    assert "Traceback" not in p.stderr
+
+
+def test_golden_transcripts_stay_well_inside_the_degree_budget(monkeypatch):
+    # at a hundredth of the limit every recorded transcript, the fifteen
+    # suites among them, still comes out byte for byte
+    from qdops import _polykernel_py
+    from test_cli_golden import CASES, _recorded, transcript
+    monkeypatch.setattr(_polykernel_py, "MAX_DEGREE",
+                        _polykernel_py.MAX_DEGREE // 100)
+    want = _recorded()
+    for argv in CASES:
+        assert transcript(argv) == want[tuple(argv)], argv

@@ -194,3 +194,40 @@ def test_truncated_scalar_ops():
     assert (t * t).is_zero()
     assert (one + t).coeffs == (1, 1)
     assert ((one + t) * (one - t)).coeffs == (1, 0)
+
+
+def _parts(s):
+    return (s.c, s.num, s.den)
+
+
+def test_canonical_results_equal_the_normalizing_constructor():
+    # -s, s.inverse() and q_power(e) take their parts as they are; the
+    # normalizing constructor on the same parts must agree field by field
+    rng = random.Random(19)
+    pairs = []
+    for _ in range(150):
+        s = rand_scalar(rng)
+        pairs.append((-s, ExactScalar(1, -s.c, s.num, s.den)))
+        pairs.append((s.inverse(), ExactScalar(1, 1 / s.c, s.den, s.num)))
+    for e in range(-50, 51):
+        mono = (0,) * abs(e) + (1,)
+        num, den = (mono, (1,)) if e >= 0 else ((1,), mono)
+        pairs.append((ExactScalar.q_power(e), ExactScalar(1, 1, num, den)))
+    for got, want in pairs:
+        assert _parts(got) == _parts(want)
+        assert type(got.c) is Fraction
+        assert type(got.num) is tuple and type(got.den) is tuple
+        assert hash(got) == hash(want)
+        assert got == want
+
+
+def test_several_variables_inverse_stays_canonical():
+    # 1 - q1 leads negative in the lexicographic order; as a denominator
+    # it must be turned around
+    one = {(0, 0): 1}
+    s = ExactScalar(2, Fraction(3, 2), {(0, 0): 1, (1, 0): -1}, one)
+    assert s.num[(1, 0)] < 0
+    inv = s.inverse()
+    assert inv.den[max(inv.den)] > 0
+    assert _parts(inv) == _parts(ExactScalar(2, Fraction(2, 3), one, s.num))
+    assert (s * inv).is_one()
