@@ -26,9 +26,8 @@ def pairs(terms):
 def collect(terms):
     """{key: sum of its values} over a dict or an iterable of (key, value).
 
-    Values of one key are added left to right in the order given (n-variable
-    scalars are not canonical, so the grouping fixes how a sum prints);
-    keys keep the order of their first term, and zero sums are dropped.
+    Values of one key are added left to right in the order given; keys
+    keep the order of their first term, and zero sums are dropped.
     """
     out = {}
     for k, v in pairs(terms):

@@ -32,6 +32,11 @@ from . import qgroup
 from .suites import verify_suite, suite_names
 
 
+# the largest variable count `--ring n=<k>` accepts; the cost of an
+# n-variable operator grows faster than n
+MAX_VARIABLES = 64
+
+
 def _ring(spec):
     if spec == "x":
         return POLY_X
@@ -46,6 +51,8 @@ def _ring(spec):
             raise ParseError(2, f"bad variable count in ring spec {spec!r}")
         if n < 1:
             raise ParseError(2, "need at least one variable")
+        if n > MAX_VARIABLES:
+            raise ParseError(2, f"at most {MAX_VARIABLES} variables")
         return poly_n(n)
     raise ParseError(0, f"unknown ring {spec!r} (x, y, laurent, n=<k>)")
 

@@ -1,15 +1,17 @@
 """Exact scalars: the field Q(q) (or Q(q_1..q_n)) and its truncations.
 
 A scalar is kept as  c * N/D  with c a rational number and N, D primitive
-integer-coefficient polynomials, gcd(N, D) = 1, D with positive leading
-coefficient.  That triple is canonical in one variable, so equality and
-hashing are structural.  In several variables N and D are sparse maps, and
-one rule reduces them: for each variable q_v, the gcd of the q_v-contents
-of N and D (the gcds of their coefficients read as polynomials in q_v) is
-divided out.  That cancels every common factor that lives in a single
-variable, which is every factor the engine's denominators have; a mixed
-factor such as q1 + q2 is not cancelled, so equality falls back to
-cross-multiplication.
+integer-coefficient polynomials, gcd(N, D) = 1, both with positive leading
+coefficient.  In several variables N and D are sparse maps, and D is a
+product of polynomials in one q_v each: `inverse`, the only operation that
+turns a numerator into a denominator, raises DomainMismatch on a divisor
+with a factor in several variables such as q1 + q2, and sums and products
+keep that shape.  One rule then reduces N/D to lowest terms: for each
+variable q_v, the gcd of the q_v-contents of N and D (the gcds of their
+coefficients read as polynomials in q_v) is divided out.  Every common
+factor of N and D divides D, so it lives in a single q_v and is cancelled
+there.  The triple is therefore canonical in every arity, and equality,
+hashing and inversion are structural.
 
 `truncate` maps a scalar with no pole at q = 1 into Q[t]/(t^n) via
 q = 1 + t; `valuation_at_1` is the (q-1)-adic valuation that guards it.
@@ -60,15 +62,6 @@ def _mscale(a, c):
     return {e: c * x for e, x in a.items()} if c else {}
 
 
-def _mcontent(a):
-    g = 0
-    for c in a.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g or 1
-
-
 def _mlead(a):
     """Coefficient of the lexicographically largest exponent."""
     return a[max(a)] if a else 0
@@ -106,21 +99,56 @@ def _unrows(rows, g, v):
     return out
 
 
+def _has_mixed_factor(a, nvars):
+    """Whether a has a factor in several variables: it is left over once
+    the q_v-content of every variable is divided out."""
+    for v in range(nvars):
+        rows = _rows(a, v)
+        g = _content(rows)
+        if len(g) > 1:
+            a = _unrows(rows, g, v)
+    return len(a) > 1
+
+
+def _hashable(p):
+    """A num or den as a hashable value: the tuple, or a map's items."""
+    return frozenset(p.items()) if isinstance(p, dict) else p
+
+
+def binary_power(x, k):
+    """x^k for k >= 1 by square-and-multiply: about 2 log2(k) products,
+    none of a power above k.  It equals the k-fold product for every
+    canonical type (scalars, operators)."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
+
+
 class ExactScalar:
     """An element of Q(q) -- or Q(q_1..q_n) when nvars > 1.  Immutable."""
 
     __slots__ = ("nvars", "c", "num", "den", "_hash")
 
     def __init__(self, nvars, c, num, den):
-        # callers go through the factory helpers; this normalizes.
+        # callers go through the factory helpers; this normalizes (in
+        # several variables, den must be a product of univariate factors)
+        self.nvars, self._hash = nvars, None
         if nvars == 1:
             num, den = kernel.pnorm(list(num)), kernel.pnorm(list(den))
-            if not den:
-                raise DivisionByZero("zero denominator")
-            if not num or c == 0:
-                self.nvars, self.c, self.num, self.den = 1, Fraction(0), _ONE, _ONE
-                self._hash = None
-                return
+        else:
+            num, den = _mnorm(num), _mnorm(den)
+        if not den:
+            raise DivisionByZero("zero denominator")
+        if not num or c == 0:
+            one = _ONE if nvars == 1 else {(0,) * nvars: 1}
+            self.c, self.num, self.den = Fraction(0), one, one
+            return
+        if nvars == 1:
             cn, cd = kernel.pcontent(num), kernel.pcontent(den)
             c = Fraction(c) * Fraction(cn, cd)
             num = [x // cn for x in num]
@@ -135,18 +163,9 @@ class ExactScalar:
             if num[-1] < 0:
                 num = [-x for x in num]
                 c = -c
-            self.nvars, self.c, self.num, self.den = 1, c, tuple(num), tuple(den)
+            self.c, self.num, self.den = c, tuple(num), tuple(den)
         else:
-            num, den = _mnorm(num), _mnorm(den)
-            if not den:
-                raise DivisionByZero("zero denominator")
-            if not num or c == 0:
-                one = {(0,) * nvars: 1}
-                self.nvars, self.c = nvars, Fraction(0)
-                self.num, self.den = one, dict(one)
-                self._hash = None
-                return
-            cn, cd = _mcontent(num), _mcontent(den)
+            cn, cd = kernel.pcontent(num.values()), kernel.pcontent(den.values())
             c = Fraction(c) * Fraction(cn, cd)
             num = {e: x // cn for e, x in num.items()}
             den = {e: x // cd for e, x in den.items()}
@@ -161,10 +180,10 @@ class ExactScalar:
                     if len(g) > 1:
                         num, den = _unrows(nr, g, v), _unrows(dr, g, v)
             if _mlead(den) < 0:
-                den = _mscale(den, -1)
-                num = _mscale(num, -1)
-            self.nvars, self.c, self.num, self.den = nvars, c, num, den
-        self._hash = None
+                den, c = _mscale(den, -1), -c
+            if _mlead(num) < 0:
+                num, c = _mscale(num, -1), -c
+            self.c, self.num, self.den = c, num, den
 
     @staticmethod
     def _canonical(nvars, c, num, den):
@@ -177,18 +196,11 @@ class ExactScalar:
     # -- factories ---------------------------------------------------------
 
     @staticmethod
-    def from_int(k, nvars=1):
-        if nvars == 1:
-            return ExactScalar(1, Fraction(k), _ONE, _ONE)
-        one = {(0,) * nvars: 1}
-        return ExactScalar(nvars, Fraction(k), one, one)
-
-    @staticmethod
     def from_fraction(f, nvars=1):
-        if nvars == 1:
-            return ExactScalar(1, Fraction(f), _ONE, _ONE)
-        one = {(0,) * nvars: 1}
-        return ExactScalar(nvars, Fraction(f), one, one)
+        one = _ONE if nvars == 1 else {(0,) * nvars: 1}
+        return ExactScalar._canonical(nvars, Fraction(f), one, one)
+
+    from_int = from_fraction
 
     @staticmethod
     def q_power(e, nvars=1, var=0):
@@ -201,9 +213,8 @@ class ExactScalar:
         exp[var] = abs(e)
         t = {tuple(exp): 1}
         one = {(0,) * nvars: 1}
-        if e >= 0:
-            return ExactScalar(nvars, 1, t, one)
-        return ExactScalar(nvars, 1, one, t)
+        num, den = (t, one) if e >= 0 else (one, t)
+        return ExactScalar._canonical(nvars, Fraction(1), num, den)
 
     # -- predicates ----------------------------------------------------------
 
@@ -211,16 +222,11 @@ class ExactScalar:
         return self.c == 0
 
     def is_one(self):
-        if self.nvars == 1:
-            return self.c == 1 and self.num == _ONE and self.den == _ONE
-        one = {(0,) * self.nvars: 1}
-        return self.c == 1 and self.num == one and self.den == one
+        # in lowest terms num == den holds only for the unit
+        return self.c == 1 and self.num == self.den
 
     def is_rational(self):
-        if self.nvars == 1:
-            return self.num == _ONE and self.den == _ONE
-        one = {(0,) * self.nvars: 1}
-        return self.num == one and self.den == one
+        return self.num == self.den
 
     def as_fraction(self):
         if not self.is_rational():
@@ -304,11 +310,11 @@ class ExactScalar:
     def inverse(self):
         if self.c == 0:
             raise DivisionByZero("inverting zero scalar")
-        if self.nvars == 1:
-            # num and den both lead positive, so the swap is canonical; in
-            # several variables the new den may lead negative
-            return ExactScalar._canonical(1, 1 / self.c, self.den, self.num)
-        return ExactScalar(self.nvars, 1 / self.c, self.den, self.num)
+        if self.nvars > 1 and _has_mixed_factor(self.num, self.nvars):
+            raise DomainMismatch(
+                f"cannot divide by {self}: it has a factor in several variables")
+        # num and den both lead positive, so the swap is canonical
+        return ExactScalar._canonical(self.nvars, 1 / self.c, self.den, self.num)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -322,34 +328,19 @@ class ExactScalar:
     def __pow__(self, e):
         if e == 0:
             return ExactScalar.from_int(1, self.nvars)
-        base = self if e > 0 else self.inverse()
-        out = base
-        for _ in range(abs(e) - 1):
-            out = out * base
-        return out
+        return binary_power(self if e > 0 else self.inverse(), abs(e))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ExactScalar.from_fraction(other, self.nvars)
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        if self.nvars == 1:
-            return (self.c, self.num, self.den) == (other.c, other.num, other.den)
-        # cross-multiplication: c1*N1*D2 == c2*N2*D1
-        a, b = self.c, other.c
-        left = _mscale(_mmul(self.num, other.den), a.numerator * b.denominator)
-        right = _mscale(_mmul(other.num, self.den), b.numerator * a.denominator)
-        return left == right
+        return ((self.nvars, self.c, self.num, self.den)
+                == (other.nvars, other.c, other.num, other.den))
 
     def __hash__(self):
         if self._hash is None:
-            if self.nvars == 1:
-                self._hash = hash((self.c, self.num, self.den))
-            else:
-                # reps of equal multivariate scalars may differ; hash weakly
-                self._hash = hash(("mscalar", self.nvars))
+            self._hash = hash((self.c, _hashable(self.num), _hashable(self.den)))
         return self._hash
 
     # -- q = 1 + t -----------------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import (
     NotIntegralAtOne,
     UnsupportedGenerator,
 )
-from .exactscalar import ExactScalar, TruncatedScalar, scalar
+from .exactscalar import ExactScalar, TruncatedScalar, binary_power, scalar
 from .rings import POLY_X, POLY_Y, LAURENT_X, RingElement
 
 
@@ -213,10 +213,9 @@ class GradedOperator(TermMap):
     def __pow__(self, k):
         if k < 0:
             raise DomainMismatch(f"operator power {k}: powers need k >= 0")
-        out = GradedOperator.identity(self.domain)
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return GradedOperator.identity(self.domain)
+        return binary_power(self, k)
 
     def apply(self, p):
         if not isinstance(p, RingElement) or p.tag != self.domain:

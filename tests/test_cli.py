@@ -1,5 +1,7 @@
 """Command-line front end: output text, JSON schema, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,8 +10,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qdops.cli import main
+from qdops.cli import MAX_VARIABLES, main
 from qdops.opexpr import _MAX_DEPTH
 
 
@@ -132,6 +135,9 @@ def test_unknown_suite_exits_3(capsys):
     (["eval", "q", "--ring", "n=2"], 3, "UnsupportedGenerator"),
     (["eval", "q1"], 3, "UnsupportedGenerator"),
     (["eval", "q1", "--ring", "y"], 3, "UnsupportedGenerator"),
+    (["eval", "x1", "--ring", f"n={MAX_VARIABLES + 1}"], 2, "parse error"),
+    (["eval", "q1/(q1+q2)", "--ring", "n=2"], 3, "DomainMismatch"),
+    (["eval", "(q1+q2)^-1*x1", "--ring", "n=2"], 3, "DomainMismatch"),
 ])
 def test_bad_input_is_a_typed_failure(capsys, argv, rc, name):
     got, out, err = run(capsys, *argv)
@@ -190,17 +196,23 @@ def test_closed_pipe_exits_without_a_traceback(expr):
 
 def test_huge_q_power_is_a_typed_error_at_once():
     # q^10^7 would be a dense polynomial of ten million coefficients; the
-    # kernel's degree budget refuses it before building anything
+    # kernel's degree budget refuses it before building anything.  Powers
+    # square and multiply, so q^1000000 passes the budget within about 17
+    # products and x^100000000 (no coefficient grows) is cheap; applying
+    # s[1] to it needs q^100000000
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    t0 = time.monotonic()
-    p = subprocess.run([sys.executable, "-m", "qdops.cli", "eval", "D[10000000]"],
-                       capture_output=True, text=True, timeout=60,
-                       env=dict(os.environ, PYTHONPATH=path))
-    assert time.monotonic() - t0 < 2.0
-    assert p.returncode == 3
-    assert p.stderr.startswith("BudgetExceeded: ")
-    assert "Traceback" not in p.stderr
+    for argv, rc in [(["eval", "D[10000000]"], 3), (["eval", "q^1000000"], 3),
+                     (["eval", "q^99999"], 0), (["eval", "x^100000000"], 0),
+                     (["apply", "s[1]", "x^100000000"], 3)]:
+        t0 = time.monotonic()
+        p = subprocess.run([sys.executable, "-m", "qdops.cli", *argv],
+                           capture_output=True, text=True, timeout=60,
+                           env=dict(os.environ, PYTHONPATH=path))
+        assert time.monotonic() - t0 < 2.0, argv
+        assert p.returncode == rc, argv
+        assert p.stderr.startswith("BudgetExceeded: ") if rc else not p.stderr
+        assert "Traceback" not in p.stderr
 
 
 def test_golden_transcripts_stay_well_inside_the_degree_budget(monkeypatch):
@@ -213,3 +225,75 @@ def test_golden_transcripts_stay_well_inside_the_degree_budget(monkeypatch):
     want = _recorded()
     for argv in CASES:
         assert transcript(argv) == want[tuple(argv)], argv
+
+
+def test_division_by_univariate_factors_in_several_variables(capsys):
+    # (q1 - 1)(q2 - 1) multiplied out is a product of polynomials in one
+    # q_i each, so it may divide; q1 + q2 may not (the table above)
+    rc, out, err = run(capsys, "eval", "x1/(q1*q2-q1-q2+1)", "--ring", "n=2")
+    assert (rc, err) == (0, "")
+    assert out.strip() == "[e=(1, 0)] (1/(q1*q2 - q1 - q2 + 1))"
+
+
+# the grammar's tokens; every exponent is one token, so |k| <= 4 unless
+# parentheses nest powers
+_OPERATOR_LEAVES = ["x", "tau", "s[1]", "s[-2]", "s[1,2]", "s[0,-1,1]", "D[0]",
+                    "D[1]", "D[-1]", "x1", "x2", "x3", "D1[1]", "D2[-1]",
+                    "D3[0]", "q", "q1", "q2", "q3", "0", "1", "2", "3"]
+_UQ_LEAVES = ["E", "F", "K", "Kinv", "Ediv[2]", "Fdiv[1]", "Ediv[-1]", "q", "2"]
+_POWERS = ["^0", "^1", "^2", "^4", "^-1", "^-4"]
+_SYNTAX = ["+", "-", "*", "/", "(", ")", ",", "bracket("] + _POWERS
+_RINGS = ["x", "y", "laurent", "n=1", "n=2", "n=3", "n=0", "n=two"]
+_ARITY = {"eval": 1, "apply": 2, "bracket": 2, "simplicity-witness": 1, "uq": 1}
+
+
+def _exprs(leaves):
+    """Token soup, or a tree the grammar accepts, over the given leaves."""
+    leaf = st.sampled_from(leaves)
+
+    def compound(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(sub, st.sampled_from(_POWERS)).map(
+                lambda t: f"({t[0]}){t[1]}"),
+            st.tuples(sub, sub, st.integers(-2, 2)).map(
+                lambda t: f"bracket({t[0]}, {t[1]}, {t[2]})"),
+            sub.map(lambda a: f"-{a}"))
+
+    soup = st.lists(st.sampled_from(leaves + _SYNTAX), min_size=1,
+                    max_size=10).map(" ".join)
+    return st.one_of(soup, st.recursive(leaf, compound, max_leaves=5))
+
+
+@st.composite
+def _cli_inputs(draw):
+    cmd = draw(st.sampled_from(sorted(_ARITY)))
+    argv = [cmd]
+    if cmd in ("eval", "apply", "bracket") and draw(st.booleans()):
+        argv += ["--ring", draw(st.sampled_from(_RINGS))]
+    if cmd == "bracket" and draw(st.booleans()):
+        argv += ["--twist", str(draw(st.integers(-4, 4)))]
+    if cmd == "uq" and draw(st.booleans()):
+        argv += ["--level", str(draw(st.integers(-1, 3)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    expr = _exprs(_UQ_LEAVES if cmd == "uq" else _OPERATOR_LEAVES)
+    # an expression may start with "-": it goes after "--"
+    return argv + ["--"] + [draw(expr) for _ in range(_ARITY[cmd])]
+
+
+@settings(derandomize=True, max_examples=400, deadline=10_000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_inputs())
+def test_fuzzed_command_lines_end_in_a_typed_status(argv):
+    # every exit is 0-3 (argparse's usage errors exit 2), never a traceback;
+    # the deadline caps each example's wall-clock time
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

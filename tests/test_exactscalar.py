@@ -222,12 +222,57 @@ def test_canonical_results_equal_the_normalizing_constructor():
 
 
 def test_several_variables_inverse_stays_canonical():
-    # 1 - q1 leads negative in the lexicographic order; as a denominator
-    # it must be turned around
+    # 1 - q1 leads negative in the lexicographic order; its sign moves
+    # into c, so 3/2*(1 - q1) is stored as -3/2*(q1 - 1)
     one = {(0, 0): 1}
     s = ExactScalar(2, Fraction(3, 2), {(0, 0): 1, (1, 0): -1}, one)
-    assert s.num[(1, 0)] < 0
+    assert (s.c, s.num) == (Fraction(-3, 2), {(0, 0): -1, (1, 0): 1})
     inv = s.inverse()
     assert inv.den[max(inv.den)] > 0
-    assert _parts(inv) == _parts(ExactScalar(2, Fraction(2, 3), one, s.num))
+    assert _parts(inv) == _parts(ExactScalar(2, 1 / s.c, one, s.num))
     assert (s * inv).is_one()
+
+
+def _mpoly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def same_value(a, b):
+    """a == b in Q(q1..qn) by cross-multiplication: c1 N1 D2 == c2 N2 D1."""
+    left, right = _mpoly_mul(a.num, b.den), _mpoly_mul(b.num, a.den)
+    return ({e: a.c * x for e, x in left.items() if a.c * x}
+            == {e: b.c * x for e, x in right.items() if b.c * x})
+
+
+def test_several_variables_equal_values_have_equal_parts():
+    # the reference is cross-multiplication; the scalar itself compares
+    # and hashes (c, num, den), so equal values must have equal parts
+    rng = random.Random(23)
+    for _ in range(60):
+        nv = rng.choice([2, 3])
+        a, b = rand_factored(rng, nv), rand_factored(rng, nv)
+        values = [a, b, a + b, b + a, a - b, b - a, -(b - a), -a, a * -1,
+                  (-1) * a, a - 2 * a, a * b, b * a, (a * b) / b, (a + b) - b]
+        for x in values:
+            for y in values:
+                if same_value(x, y):
+                    assert _parts(x) == _parts(y)
+                    assert hash(x) == hash(y)
+                assert (x == y) == same_value(x, y)
+
+
+def test_dividing_by_a_factor_in_several_variables_is_refused():
+    q1, q2 = ExactScalar.q_power(1, 2, 0), ExactScalar.q_power(1, 2, 1)
+    for bad in (q1 + q2, (q1 - 1) * (q1 * q2 + 1), q1 * q2 - 1):
+        with pytest.raises(DomainMismatch):
+            bad.inverse()
+        with pytest.raises(DomainMismatch):
+            q1 / bad
+    good = (q1 - 1) * (q2 + 1) * q1 * q2
+    assert (good * good.inverse()).is_one()
+    assert (q1 / good) * good == q1

@@ -277,3 +277,33 @@ def test_bracket_nilpotence_order():
     for n in (1, 2, 3, 4):
         assert bracket_nilpotence_order(truncate_operator(s(1), n)) == n
     assert bracket_nilpotence_order(TruncatedOperator.zero(POLY_X, 2)) == 0
+
+
+def test_powers_equal_repeated_products():
+    # square-and-multiply gives the k-fold product, for scalars and
+    # operators in one variable and in two
+    from test_exactscalar import rand_factored, rand_scalar
+    from qdops.suites import _rand_scalar
+    rng = random.Random(31)
+    dom2 = poly_n(2)
+    one2 = GradedOperator.identity(dom2)
+    atoms1 = [X, TAU, s(1), s(-1)]
+    atoms2 = [generator("x_i", dom2, 0), generator("x_i", dom2, 1),
+              generator("sigma_vec", dom2, (1, -1))]
+    cases = []
+    for _ in range(3):
+        cases += [
+            (scalar(1), rand_scalar(rng)),
+            (ExactScalar.from_int(1, 2), rand_factored(rng, 2)),
+            (ONE, d(rng.randint(-2, 2)) * _rand_scalar(rng)),
+            (ONE, rng.choice(atoms1) * _rand_scalar(rng) + rng.choice(atoms1)),
+            (one2, generator("dbeta_i", dom2, (rng.randrange(2), rng.randint(-2, 2)))
+             * _rand_scalar(rng, 2)),
+            (one2, rng.choice(atoms2) * _rand_scalar(rng, 2) + rng.choice(atoms2)),
+        ]
+    for one, a in cases:
+        want = one
+        for k in range(13):
+            got = a ** k
+            assert got == want and hash(got) == hash(want), (a, k)
+            want = want * a
