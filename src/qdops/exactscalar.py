@@ -292,7 +292,9 @@ class ExactScalar:
         if self.c == 0 or o.c == 0:
             return ExactScalar.from_int(0, self.nvars)
         if self.nvars == 1:
-            # cross-cancel before multiplying to keep degrees down
+            # cross-cancel: the four parts are then pairwise coprime,
+            # primitive and lead positive, so (Gauss's lemma) their
+            # products are in lowest terms and canonical as they stand
             n1, d2 = list(self.num), list(o.den)
             g = kernel.pgcd(n1, d2)
             if len(g) > 1:
@@ -301,7 +303,9 @@ class ExactScalar:
             g = kernel.pgcd(n2, d1)
             if len(g) > 1:
                 n2, d1 = kernel.pdiv_exact(n2, g), kernel.pdiv_exact(d1, g)
-            return ExactScalar(1, self.c * o.c, kernel.pmul(n1, n2), kernel.pmul(d1, d2))
+            return ExactScalar._canonical(1, self.c * o.c,
+                                          tuple(kernel.pmul(n1, n2)),
+                                          tuple(kernel.pmul(d1, d2)))
         return ExactScalar(self.nvars, self.c * o.c,
                            _mmul(self.num, o.num), _mmul(self.den, o.den))
 

@@ -1,57 +1,29 @@
-"""U_q(sl2): words in E, F, K, K^-1 (plus divided powers), their action on
-the quantum plane k<u, v> with v inverted, the operator realizations on
-k[x] and k[x^-1], the glued pairs, and levelwise truncations.
+"""U_q(sl2): words in E, F, K, K^-1 (plus divided powers), their operator
+realizations on k[x] and k[x^-1], the glued pairs, levelwise truncations,
+and their action on the quantum plane k<u, v> with v inverted.
+
+Every word is read by one interpreter, `_Hom`, from a table of letter
+images.  The plane has one table per line a + b = n, which every letter
+keeps: there a word is a one-variable graded operator on k[v, v^-1], so
+the U_q relations on the plane and its agreement with alpha on the x-line
+are identities of symbols.
 """
 
 from __future__ import annotations
 
 from .errors import EngineError, GlueFailure, UnsupportedGenerator
-from .exactscalar import ExactScalar, q_factorial, q_number, scalar
+from .exactscalar import ExactScalar, q_factorial, scalar
 from .opexpr import EDiv, _Algebra, _fold, parse
 from .opsym import (
     GradedOperator,
+    Symbol,
     equals,
     extend_to_laurent,
     generator,
     truncate_operator,
     twisted_bracket,
 )
-from .rings import POLY_X, POLY_Y, PlaneElement, plane_to_x_poly, x_of_plane
-
-# ---------------------------------------------------------------------------
-# quantum plane action
-# ---------------------------------------------------------------------------
-#
-# K(u) = qu, K(v) = v/q, E(u) = 0, E(v) = u, F(u) = v, F(v) = 0, spread
-# over products by E(st) = E(s)t + K(s)E(t), F(st) = sF(t) + F(s)K^-1(t);
-# on the inverse, E(1/v) = -q (1/v) u (1/v), F(1/v) = 0, K(1/v) = q/v.
-
-
-def _act_K(elem, sign):
-    return PlaneElement(((a, b), c * ExactScalar.q_power(sign * (a - b)))
-                        for (a, b), c in elem.terms.items())
-
-
-def _act_E(elem):
-    # E(u^a v^b) = q^(a+1-b) [b] u^(a+1) v^(b-1)
-    return PlaneElement(((a + 1, b - 1), c * ExactScalar.q_power(a + 1 - b)
-                         * q_number(b, "balanced"))
-                        for (a, b), c in elem.terms.items() if b)
-
-
-def _act_F(elem):
-    # F(u^a v^b) = q^(b+1-a) [a] u^(a-1) v^(b+1)
-    return PlaneElement(((a - 1, b + 1), c * ExactScalar.q_power(b + 1 - a)
-                         * q_number(a, "balanced"))
-                        for (a, b), c in elem.terms.items() if a)
-
-
-_PLANE_LETTERS = {
-    "K": lambda s: _act_K(s, 1),
-    "Kinv": lambda s: _act_K(s, -1),
-    "E": _act_E,
-    "F": _act_F,
-}
+from .rings import LAURENT_X, POLY_X, POLY_Y, PlaneElement, RingElement
 
 
 class _Scalar(_Algebra):
@@ -77,71 +49,6 @@ class _Words(_Algebra):
 
     def divisor_inverse(self, e):
         return _fold(e.b, _SCALAR).inverse()
-
-
-class _PlaneAction(_Words):
-    """Values: functions PlaneElement -> PlaneElement."""
-
-    target = "plane action"
-
-    def num(self, e):
-        c = e.value
-        return lambda s: s * c
-
-    def gen(self, e):
-        if e.name in _PLANE_LETTERS:
-            return _PLANE_LETTERS[e.name]
-        if e.name in ("Ediv", "Fdiv"):
-            m = int(e.arg)
-            letter = _PLANE_LETTERS[e.name[0]]
-
-            def divided(s):
-                for _ in range(m):
-                    s = letter(s)
-                return s * q_factorial(m).inverse()
-            return divided
-        raise UnsupportedGenerator(f"no plane action for {e.name!r}")
-
-    def add(self, e, a, b):
-        return lambda s: a(s) + b(s)
-
-    def sub(self, e, a, b):
-        return lambda s: a(s) - b(s)
-
-    def neg(self, e, a):
-        return lambda s: -a(s)
-
-    def mul(self, e, a, b):
-        return lambda s: a(b(s))
-
-    def div(self, e, a):
-        inv = self.divisor_inverse(e)
-        return lambda s: a(s) * inv
-
-    def pow(self, e, base):
-        if e.k < 0:
-            raise EngineError("negative word power in the plane action")
-
-        def power(s):
-            for _ in range(e.k):
-                s = base(s)
-            return s
-        return power
-
-    def bracket(self, e, a, b):
-        if e.twist:
-            raise EngineError("twisted brackets have no plane action")
-        return lambda s: a(b(s)) - b(a(s))
-
-
-_PLANE_ACTION = _PlaneAction()
-
-
-def act_on_plane(w, s):
-    """Act by the word/expression w on a plane element."""
-    if isinstance(w, str):
-        w = parse(w, mode="uq")
-    return _fold(w, _PLANE_ACTION)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +217,72 @@ def gamma_generators_check():
 
 
 # ---------------------------------------------------------------------------
-# plane model of the x-line
+# the quantum plane
 # ---------------------------------------------------------------------------
+#
+# K(u) = qu, K(v) = v/q, E(u) = 0, E(v) = u, F(u) = v, F(v) = 0, spread
+# over products by E(st) = E(s)t + K(s)E(t), F(st) = sF(t) + F(s)K^-1(t);
+# on the inverse, E(1/v) = -q (1/v) u (1/v), F(1/v) = 0, K(1/v) = q/v.
+# On monomials:
+#
+#   K(u^a v^b) = q^(a-b) u^a v^b,
+#   E(u^a v^b) = q^(a+1-b) [b] u^(a+1) v^(b-1),
+#   F(u^a v^b) = q^(b+1-a) [a] u^(a-1) v^(b+1).
+#
+# Every letter keeps a + b.  On the line a + b = n, u^(n-b) v^b is read as
+# v^b in k[v, v^-1] (the ring LAURENT_X, exponent b, symbol variable
+# w = q^b), and each letter is a one-variable graded operator there; its
+# coefficient at the edge a = 0 is a multiple of [0] = 0, so `apply` never
+# leaves the plane.
 
-def plane_alpha_consistent(w, m):
-    """Does the plane action of w on the image of x^m match alpha(w)(x^m)?"""
-    from .rings import RingElement
 
+def _plane_letters(n):
+    """The letters on the line a + b = n, from the formulas above with
+    a = n - b."""
+    q = ExactScalar.q_power
+    c = (q(1) - q(-1)).inverse()
+    sym = lambda *terms: Symbol(1, {((i,), (0,)): k for i, k in terms})
+    return {
+        "K": GradedOperator(LAURENT_X, {0: sym((-2, q(n)))}),
+        "Kinv": GradedOperator(LAURENT_X, {0: sym((2, q(-n)))}),
+        "E": GradedOperator(LAURENT_X, {-1: sym((-1, q(n + 1) * c),
+                                                (-3, -q(n + 1) * c))}),
+        "F": GradedOperator(LAURENT_X, {1: sym((1, q(1) * c),
+                                               (3, -q(1 - 2 * n) * c))}),
+    }
+
+
+def plane_line_operator(w, n):
+    """The action of the word w on the line a + b = n of the plane, as a
+    graded operator on k[v, v^-1]."""
+    return _fold(_as_uq(w), _Hom(_plane_letters(n), LAURENT_X))
+
+
+def act_on_plane(w, s):
+    """Act by the word/expression w on a plane element, line by line."""
     w = _as_uq(w)
-    got = act_on_plane(w, x_of_plane(m))
-    back = plane_to_x_poly(got)
-    if back is None:
-        return False
-    op = alpha(w)
-    xm = RingElement.monomial(POLY_X, m)
-    return op.apply(xm) == back
+    lines = {}
+    for (a, b), c in s.terms.items():
+        lines.setdefault(a + b, {})[b] = c
+    return PlaneElement(
+        ((n - b, b), c) for n, line in lines.items()
+        for b, c in plane_line_operator(w, n).apply(
+            RingElement(LAURENT_X, line)).terms.items())
+
+
+def plane_alpha_consistent(w):
+    """Does the plane action of w on the x-line match alpha(w) on every x^m?
+
+    x^m = q^(m(m-1)/2) u^m v^-m lies on the line a + b = 0 at b = -m.  A
+    part of that line's operator at v-shift f with symbol t(w) sends x^m
+    to q^(mf - f(f+1)/2) t(q^-m) x^(m-f): the part at x-shift -f with
+    symbol q^(-f(f+1)/2) u^f t(1/u) (the plane's symbols are m-free).
+    Symbols are faithful on m >= 0, so one comparison decides every m.
+    """
+    w = _as_uq(w)
+    q = ExactScalar.q_power
+    on_x = GradedOperator(LAURENT_X, (
+        (-f, Symbol(1, ((((f - i,), j), c * q(-f * (f + 1) // 2))
+                        for ((i,), j), c in t.coeffs.items())))
+        for (f,), t in plane_line_operator(w, 0).parts.items()))
+    return equals(on_x, extend_to_laurent(alpha(w)))

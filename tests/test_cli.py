@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qdops.cli import MAX_VARIABLES, main
+from qdops.cli import MAX_LEVEL, MAX_VARIABLES, main
 from qdops.opexpr import _MAX_DEPTH
 
 
@@ -131,6 +131,7 @@ def test_unknown_suite_exits_3(capsys):
     (["eval", "s[1,2,3]", "--ring", "n=2"], 3, "UnsupportedGenerator"),
     (["uq", "E", "--level", "-1"], 2, "parse error"),
     (["uq", "E", "--level", "0"], 2, "parse error"),
+    (["uq", "E*F", "--level", str(MAX_LEVEL + 1)], 2, "parse error"),
     (["eval", "q3", "--ring", "n=2"], 3, "UnsupportedGenerator"),
     (["eval", "q", "--ring", "n=2"], 3, "UnsupportedGenerator"),
     (["eval", "q1"], 3, "UnsupportedGenerator"),
@@ -213,6 +214,20 @@ def test_huge_q_power_is_a_typed_error_at_once():
         assert p.returncode == rc, argv
         assert p.stderr.startswith("BudgetExceeded: ") if rc else not p.stderr
         assert "Traceback" not in p.stderr
+
+
+def test_huge_level_is_refused_at_once():
+    # truncating at level 200 ran for over a minute; the cap refuses a
+    # level past MAX_LEVEL before any truncation is built
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    t0 = time.monotonic()
+    p = subprocess.run([sys.executable, "-m", "qdops.cli", "uq", "E*F",
+                        "--level", "1000000"], capture_output=True, text=True,
+                       timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert time.monotonic() - t0 < 2.0
+    assert (p.returncode, p.stdout) == (2, "")
+    assert "parse error" in p.stderr and "Traceback" not in p.stderr
 
 
 def test_golden_transcripts_stay_well_inside_the_degree_budget(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qdops.exactscalar import (ExactScalar, scalar, q_number, q_factorial,
                                TruncatedScalar)
 from qdops.errors import DivisionByZero, DomainMismatch
+from qdops.kernel import pmul
 
 q = sympy.Symbol("q")
 
@@ -201,8 +202,9 @@ def _parts(s):
 
 
 def test_canonical_results_equal_the_normalizing_constructor():
-    # -s, s.inverse() and q_power(e) take their parts as they are; the
-    # normalizing constructor on the same parts must agree field by field
+    # -s, s.inverse(), q_power(e) and one-variable products take their
+    # parts as they are; the normalizing constructor on the same parts
+    # must agree field by field
     rng = random.Random(19)
     pairs = []
     for _ in range(150):
@@ -213,6 +215,15 @@ def test_canonical_results_equal_the_normalizing_constructor():
         mono = (0,) * abs(e) + (1,)
         num, den = (mono, (1,)) if e >= 0 else ((1,), mono)
         pairs.append((ExactScalar.q_power(e), ExactScalar(1, 1, num, den)))
+    # products: a's numerator shares g with b's denominator and b's
+    # numerator shares h with a's denominator, so both cross-cancels act
+    for _ in range(150):
+        f, g, h, k = (rand_scalar(rng) for _ in range(4))
+        a = ExactScalar(1, f.c, pmul(f.num, g.num), pmul(h.num, g.den))
+        b = ExactScalar(1, k.c, pmul(h.num, k.num), pmul(g.num, k.den))
+        for x, y in ((a, b), (b, a), (a, k), (f, g)):
+            pairs.append((x * y, ExactScalar(1, x.c * y.c, pmul(x.num, y.num),
+                                             pmul(x.den, y.den))))
     for got, want in pairs:
         assert _parts(got) == _parts(want)
         assert type(got.c) is Fraction

@@ -1,15 +1,21 @@
 """Quantum-group words: plane action, the two morphisms, gluing, truncation."""
 
+import itertools
 import random
 
-from qdops.exactscalar import ExactScalar, scalar
-from qdops.rings import PlaneElement, RingElement, POLY_X, POLY_Y
+import pytest
+
+from qdops import qgroup
+from qdops.errors import EngineError
+from qdops.exactscalar import ExactScalar, q_factorial, q_number, scalar
+from qdops.rings import (PlaneElement, RingElement, POLY_X, POLY_Y,
+                         LAURENT_X, plane_to_x_poly, x_of_plane)
 from qdops.opsym import (generator, equals, extend_to_laurent, is_m_free,
                          truncate_operator, is_integral_at_1, GradedOperator)
 from qdops.opexpr import parse
 from qdops.qgroup import (act_on_plane, alpha, gamma, eta, eta_truncated,
                           gamma_q_member, gamma_generators_check,
-                          plane_alpha_consistent)
+                          plane_alpha_consistent, plane_line_operator)
 
 qp = ExactScalar.q_power
 
@@ -104,12 +110,23 @@ def test_alpha_images_are_m_free():
 
 
 def test_plane_matches_alpha_on_x_line():
+    # the symbol identity, and pointwise through the x-line embedding
     rng = random.Random(8)
     letters = ["E", "F", "K", "Kinv"]
     for _ in range(25):
         w = "*".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        assert plane_alpha_consistent(w), w
+        op = alpha(w)
         for m in range(5):
-            assert plane_alpha_consistent(w, m), (w, m)
+            back = plane_to_x_poly(act_on_plane(w, x_of_plane(m)))
+            assert back == op.apply(RingElement.monomial(POLY_X, m)), (w, m)
+
+
+def test_plane_alpha_check_catches_a_wrong_image(monkeypatch):
+    f = alpha("F")
+    monkeypatch.setattr(qgroup, "alpha", lambda w: f)
+    assert plane_alpha_consistent("F")
+    assert not plane_alpha_consistent("E")
 
 
 def test_eta_truncated_level_one():
@@ -157,3 +174,86 @@ def test_plane_action_follows_the_coproduct():
                 + act["K"][s] * act["E"][t]
             assert act_on_plane(F, st) == s * act["F"][t] \
                 + act["F"][s] * act["Kinv"][t]
+
+
+# ---------------------------------------------------------------------------
+# the closed form of the plane action, as an independent reference
+# ---------------------------------------------------------------------------
+
+def _closed_form(letter, s):
+    """One letter on a plane element, monomial by monomial:
+    E(u^a v^b) = q^(a+1-b)[b] u^(a+1) v^(b-1),
+    F(u^a v^b) = q^(b+1-a)[a] u^(a-1) v^(b+1),
+    K(u^a v^b) = q^(a-b) u^a v^b, and Kinv its inverse."""
+    out = []
+    for (a, b), c in s.terms.items():
+        if letter == "E":
+            out.append(((a + 1, b - 1),
+                        c * qp(a + 1 - b) * q_number(b, "balanced")))
+        elif letter == "F" and a:
+            out.append(((a - 1, b + 1),
+                        c * qp(b + 1 - a) * q_number(a, "balanced")))
+        elif letter in ("K", "Kinv"):
+            out.append(((a, b), c * qp((a - b) * (1 if letter == "K" else -1))))
+    return PlaneElement(out)
+
+
+def _word(letters):
+    """The closed-form action of a product of letters (rightmost first)."""
+    def act(s):
+        for letter in reversed(letters):
+            s = _closed_form(letter, s)
+        return s
+    return act
+
+
+def _reference_words():
+    letters = ("E", "F", "K", "Kinv")
+    out = [("*".join(w), _word(w)) for n in (1, 2, 3)
+           for w in itertools.product(letters, repeat=n)]
+    for k in range(4):
+        for g in ("E", "F"):
+            inv = q_factorial(k).inverse()
+            out.append((f"{g}div[{k}]",
+                        lambda s, g=g, k=k, inv=inv: _word([g] * k)(s) * inv))
+    c = (qp(2) + 1) / (qp(1) + 3)
+    out.append(("(q^2 + 1)*E*K/(q + 3)", lambda s: _word(["E", "K"])(s) * c))
+    out.append(("-2*Kinv*F", lambda s: _word(["Kinv", "F"])(s) * -2))
+    out.append(("bracket(E, F)", lambda s: _word(["E", "F"])(s)
+                - _word(["F", "E"])(s)))
+    return out
+
+
+def test_plane_action_matches_the_closed_form():
+    monos = [PlaneElement.monomial(a, b)
+             for a in range(7) for b in range(-6, 7)]
+    for w, ref in _reference_words():
+        expr = parse(w, mode="uq")
+        for m in monos:
+            assert act_on_plane(expr, m) == ref(m), (w, m)
+
+
+_RELATIONS = [
+    ("K*Kinv", "", 1), ("Kinv*K", "", 1),
+    ("K*E*Kinv", "E", qp(2)), ("K*F*Kinv", "F", qp(-2)),
+    ("E*F - F*E", "K - Kinv", (qp(1) - qp(-1)).inverse()),
+]
+
+
+def test_line_operators_satisfy_the_defining_relations():
+    # one identity of symbols per line decides the relation on every
+    # monomial u^(n-b) v^b of the line at once
+    one = GradedOperator.identity(LAURENT_X)
+    for n in range(-6, 13):
+        op = lambda w: plane_line_operator(w, n)
+        for lhs, rhs, c in _RELATIONS:
+            assert equals(op(lhs), (op(rhs) if rhs else one) * c), (n, lhs)
+        assert not equals(op("K*E*Kinv"), op("E") * qp(-2)), n
+
+
+def test_plane_word_errors_are_typed():
+    s = PlaneElement.monomial(1, 1)
+    with pytest.raises(EngineError, match="U_q brackets are untwisted"):
+        act_on_plane("bracket(E, F, 1)", s)
+    with pytest.raises(EngineError, match="negative power of a U_q word"):
+        act_on_plane("E^-1", s)
