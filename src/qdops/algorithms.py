@@ -142,13 +142,12 @@ def problem_expr(word, b):
     return e
 
 
-def verify_integration(word, b, Q=None, domain=POLY_X):
+def verify_integration(word, b, Q=None):
     """Check [Q, x] = P s[b] by symbols; returns (Q, ok)."""
     if Q is None:
         Q = integrate(word, b)
-    known = _int_value_cache if domain == POLY_X else None
-    lhs = evaluate(EBracket(Q, EGen("x")), domain, known)
-    rhs = evaluate(problem_expr(word, b), domain)
+    lhs = evaluate(EBracket(Q, EGen("x")), POLY_X, _int_value_cache)
+    rhs = evaluate(problem_expr(word, b))
     return Q, equals(lhs, rhs)
 
 
@@ -185,16 +184,16 @@ class SimplicityWitness:
         return out
 
 
-def replay(witness, start, domain=POLY_X):
+def replay(witness, start):
     """Apply the witness moves to an operator/expression, semantically."""
     if isinstance(start, ShapeForm):
         start = start.to_expr()
-    g = evaluate(start, domain) if isinstance(start, OperatorExpr) else start
-    X = generator("x", domain)
-    D0 = generator("dbeta", domain, 0)
+    g = evaluate(start) if isinstance(start, OperatorExpr) else start
+    X = generator("x", POLY_X)
+    D0 = generator("dbeta", POLY_X, 0)
     for st in witness.steps:
         if st[0] == "sigma":
-            g = generator("sigma", domain, st[1]) * g
+            g = generator("sigma", POLY_X, st[1]) * g
         elif st[0] == "bracket_x":
             g = twisted_bracket(g, X)
         elif st[0] == "bracket_d":

@@ -54,7 +54,8 @@ class GlueFailure(EngineError):
 
 
 class BudgetExceeded(EngineError):
-    """A dense polynomial would pass the kernel's degree limit."""
+    """A dense polynomial would pass the kernel's degree limit, or printed
+    text its length limit."""
 
     name = "BudgetExceeded"
 

@@ -462,10 +462,11 @@ def q_number(m, kind="gauss"):
     raise ValueError(f"unknown q-number kind {kind!r}")
 
 
-def q_factorial(m, kind="balanced"):
+def q_factorial(m):
+    """The balanced q-factorial [1][2]...[m]."""
     out = ONE
     for i in range(1, m + 1):
-        out = out * q_number(i, kind)
+        out = out * q_number(i, "balanced")
     return out
 
 

@@ -16,9 +16,11 @@ dbeta_y(a)); with n variables the leaves are `x1..xn`, `s[a1,..,an]` and
 `Di[k]`, and the scalars `q1..qn` take the place of `q`.  Division is
 parsed at term level and must divide by a scalar.
 
-Every interpretation of a tree (printing, evaluation here; shapes, the
-U_q morphisms and the quantum-plane action elsewhere) is one call of
-`_fold(root, algebra)`.  The fold walks the
+Every interpretation of a tree (printing, evaluation here; shapes
+elsewhere) is one call of `_fold(root, algebra)`.  A U_q word is
+evaluated like any other expression: `qgroup._Hom` is `_Eval` with the
+letters read from a table of their images (on k[x], k[y] or a line of
+the quantum plane).  The fold walks the
 tree bottom-up with an explicit stack and interprets each distinct node
 once per call, so deep trees and the dags built by `integrate` cost time
 linear in their distinct nodes.  An algebra is an `_Algebra` with one
@@ -27,19 +29,19 @@ handler per node kind, named by the node class's `_op`:
     num(e)  gen(e)  add(e, a, b)  sub(e, a, b)  mul(e, a, b)
     div(e, a, b)  neg(e, a)  pow(e, a)  bracket(e, a, b)
 
-called with the node and the values of its children `kids(e)`, in that
-order (a, b, or base).  `_Algebra` supplies a + b, a - b, -a, a * b and
-a ** e.k; num, gen, div and bracket raise EngineError naming the node
-unless the target defines them.  A target that reads a child some other
-way (the U_q targets evaluate a divisor as a plain scalar) overrides
-`kids` to leave it out.  Handlers must never change a child's value in
-place: memoized values are shared by every parent of the subtree, and a
-memo passed as `known` shares them with later calls too.
+called with the node and the values of its children `e._kids()`, in
+that order (a, b, or base).  `_Algebra` supplies a + b, a - b, -a, a * b
+and a ** e.k; num, gen, div and bracket raise EngineError naming the
+node unless the target defines them.  Handlers must never change a
+child's value in place: memoized values are shared by every parent of
+the subtree, and a memo passed as `known` shares them with later calls
+too.  Printing holds each node's text to MAX_TEXT characters.
 """
 
 from __future__ import annotations
 
 from .errors import (
+    BudgetExceeded,
     EngineError,
     NotDegreeZero,
     ParseError,
@@ -180,7 +182,7 @@ class EBracket(OperatorExpr):
 def _fold(root, alg, known=None):
     """Interpret the expression `root` in the algebra `alg`.
 
-    Post-order over the children `alg.kids(e)`, leftmost first, with an
+    Post-order over the children `e._kids()`, leftmost first, with an
     explicit stack (no recursion, so depth is unbounded) and a memo on
     node identity for this call (so a shared subtree is interpreted once
     and a dag costs time linear in its distinct nodes).
@@ -203,7 +205,7 @@ def _fold(root, alg, known=None):
                 memo[id(e)] = v
                 stack.pop()
                 continue
-        kids = alg.kids(e)
+        kids = e._kids()
         todo = [k for k in kids if id(k) not in memo]
         if todo:
             stack.extend(reversed(todo))
@@ -219,9 +221,6 @@ class _Algebra:
     """Base of the targets of `_fold`; see the module docstring.  A
     subclass names its `target` for the EngineError on a node kind it has
     no handler for."""
-
-    def kids(self, e):
-        return e._kids()
 
     def unsupported(self, e, *_):
         raise EngineError(f"{self.target}: no rule for {type(e).__name__}")
@@ -250,6 +249,10 @@ class _Algebra:
 
 _PREC_SUM, _PREC_MUL, _PREC_POW, _PREC_ATOM = 0, 1, 2, 3
 
+# the longest text printing builds for one node; a dag such as an
+# `integrate` answer prints as a tree, which grows exponentially in its depth
+MAX_TEXT = 10 ** 7
+
 
 def _scalar_atom(v):
     s = str(v)
@@ -266,6 +269,13 @@ def _wrap(v, need):
     """Text of a rendered child, parenthesized below precedence `need`."""
     s, p = v
     return f"({s})" if p < need else s
+
+
+def _joined(s, p):
+    """A rendered inner node, held to MAX_TEXT characters."""
+    if len(s) > MAX_TEXT:
+        raise BudgetExceeded(f"expression text past {MAX_TEXT} characters")
+    return s, p
 
 
 class _Render(_Algebra):
@@ -294,29 +304,32 @@ class _Render(_Algebra):
     def add(self, e, a, b):
         la, rb = _wrap(a, _PREC_SUM), _wrap(b, _PREC_MUL)
         if rb.startswith("-"):
-            return f"{la}-{rb[1:]}", _PREC_SUM
-        return f"{la}+{rb}", _PREC_SUM
+            return _joined(f"{la}-{rb[1:]}", _PREC_SUM)
+        return _joined(f"{la}+{rb}", _PREC_SUM)
 
     def sub(self, e, a, b):
-        return f"{_wrap(a, _PREC_SUM)}-{_wrap(b, _PREC_MUL)}", _PREC_SUM
+        return _joined(f"{_wrap(a, _PREC_SUM)}-{_wrap(b, _PREC_MUL)}",
+                       _PREC_SUM)
 
     def mul(self, e, a, b):
-        return f"{_wrap(a, _PREC_MUL)}*{_wrap(b, _PREC_POW)}", _PREC_MUL
+        return _joined(f"{_wrap(a, _PREC_MUL)}*{_wrap(b, _PREC_POW)}",
+                       _PREC_MUL)
 
     def div(self, e, a, b):
-        return f"{_wrap(a, _PREC_MUL)}/{_wrap(b, _PREC_ATOM)}", _PREC_MUL
+        return _joined(f"{_wrap(a, _PREC_MUL)}/{_wrap(b, _PREC_ATOM)}",
+                       _PREC_MUL)
 
     def neg(self, e, a):
-        return f"-{_wrap(a, _PREC_POW)}", _PREC_MUL
+        return _joined(f"-{_wrap(a, _PREC_POW)}", _PREC_MUL)
 
     def pow(self, e, a):
-        return f"{_wrap(a, _PREC_ATOM)}^{e.k}", _PREC_POW
+        return _joined(f"{_wrap(a, _PREC_ATOM)}^{e.k}", _PREC_POW)
 
     def bracket(self, e, a, b):
         parts = [a[0], b[0]]
         if e.twist:
             parts.append(str(e.twist))
-        return "bracket(" + ",".join(parts) + ")", _PREC_ATOM
+        return _joined("bracket(" + ",".join(parts) + ")", _PREC_ATOM)
 
 
 _RENDER = _Render()

@@ -82,11 +82,9 @@ class Symbol(TermMap):
         return Symbol(nvars, {(z, z): scalar(c, nvars)})
 
     @staticmethod
-    def term(c, i, j, nvars=1):
-        """c * u^i * m^j (i, j ints in one variable, tuples otherwise)."""
-        if nvars == 1 and not isinstance(i, tuple):
-            i, j = (i,), (j,)
-        return Symbol(nvars, {(tuple(i), tuple(j)): scalar(c, nvars)})
+    def term(c, i, j):
+        """c * u^i * m^j in one variable."""
+        return Symbol(1, {((i,), (j,)): scalar(c)})
 
     def __mul__(self, other):
         if isinstance(other, (int, ExactScalar)):

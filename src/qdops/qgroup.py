@@ -2,8 +2,10 @@
 realizations on k[x] and k[x^-1], the glued pairs, levelwise truncations,
 and their action on the quantum plane k<u, v> with v inverted.
 
-Every word is read by one interpreter, `_Hom`, from a table of letter
-images.  The plane has one table per line a + b = n, which every letter
+A word is an operator expression like any other: `_Hom` is the evaluator
+`opexpr._Eval` with the letters read from a table of their images, so
+scalars stay scalars until they meet a letter, and a divisor must be a
+scalar.  The plane has one table per line a + b = n, which every letter
 keeps: there a word is a one-variable graded operator on k[v, v^-1], so
 the U_q relations on the plane and its agreement with alpha on the x-line
 are identities of symbols.
@@ -11,9 +13,11 @@ are identities of symbols.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import EngineError, GlueFailure, UnsupportedGenerator
 from .exactscalar import ExactScalar, q_factorial, scalar
-from .opexpr import EDiv, _Algebra, _fold, parse
+from .opexpr import _Eval, _fold, _promote, parse
 from .opsym import (
     GradedOperator,
     Symbol,
@@ -26,35 +30,11 @@ from .opsym import (
 from .rings import LAURENT_X, POLY_X, POLY_Y, PlaneElement, RingElement
 
 
-class _Scalar(_Algebra):
-    """Values: ExactScalar, for the scalar-only divisors of U_q words."""
-
-    target = "scalar expression"
-
-    def num(self, e):
-        return e.value
-
-    def div(self, e, a, b):
-        return a / b
-
-
-_SCALAR = _Scalar()
-
-
-class _Words(_Algebra):
-    """U_q targets: a divisor is read by _SCALAR, never as a word."""
-
-    def kids(self, e):
-        return (e.a,) if type(e) is EDiv else e._kids()
-
-    def divisor_inverse(self, e):
-        return _fold(e.b, _SCALAR).inverse()
-
-
 # ---------------------------------------------------------------------------
 # the morphisms alpha (on k[x]) and gamma (on k[x^-1])
 # ---------------------------------------------------------------------------
 
+@cache
 def _alpha_letters():
     sig = lambda a: generator("sigma", POLY_X, a)
     dbe = lambda a: generator("dbeta", POLY_X, a)
@@ -68,6 +48,7 @@ def _alpha_letters():
     }
 
 
+@cache
 def _gamma_letters():
     # the inverse-degree ring twists by 1/q, so its beta-square derivative
     # is 1/q times ours; the prefactors below absorb that
@@ -83,31 +64,15 @@ def _gamma_letters():
     }
 
 
-_ALPHA = None
-_GAMMA = None
-
-
-def _letters(which):
-    global _ALPHA, _GAMMA
-    if which == "alpha":
-        if _ALPHA is None:
-            _ALPHA = _alpha_letters()
-        return _ALPHA, POLY_X
-    if _GAMMA is None:
-        _GAMMA = _gamma_letters()
-    return _GAMMA, POLY_Y
-
-
-class _Hom(_Words):
-    """Values: GradedOperator images of the letters under alpha or gamma."""
+class _Hom(_Eval):
+    """Values: ExactScalar while a subtree is scalar, else GradedOperator,
+    with the letters read from a table of their images."""
 
     target = "U_q morphism"
 
     def __init__(self, letters, domain):
-        self.letters, self.domain = letters, domain
-
-    def num(self, e):
-        return GradedOperator.identity(self.domain) * e.value
+        super().__init__(domain)
+        self.letters = letters
 
     def gen(self, e):
         if e.name in self.letters:
@@ -117,30 +82,32 @@ class _Hom(_Words):
             return self.letters[e.name[0]] ** m * q_factorial(m).inverse()
         raise UnsupportedGenerator(f"not a U_q leaf: {e.name!r}")
 
-    def div(self, e, a):
-        return a * self.divisor_inverse(e)
-
     def pow(self, e, base):
-        if e.k < 0:
+        if e.k < 0 and isinstance(base, GradedOperator):
             raise EngineError("negative power of a U_q word")
         return base ** e.k
 
     def bracket(self, e, a, b):
         if e.twist:
             raise EngineError("U_q brackets are untwisted")
-        return a * b - b * a
+        return super().bracket(e, a, b)
 
 
 def _as_uq(w):
     return parse(w, mode="uq") if isinstance(w, str) else w
 
 
+def _image(w, letters, domain):
+    """The word w evaluated with the given letter images, as an operator."""
+    return _promote(_fold(_as_uq(w), _Hom(letters, domain)), domain)
+
+
 def alpha(w):
-    return _fold(_as_uq(w), _Hom(*_letters("alpha")))
+    return _image(w, _alpha_letters(), POLY_X)
 
 
 def gamma(w):
-    return _fold(_as_uq(w), _Hom(*_letters("gamma")))
+    return _image(w, _gamma_letters(), POLY_Y)
 
 
 def gamma_q_member(pair):
@@ -255,7 +222,7 @@ def _plane_letters(n):
 def plane_line_operator(w, n):
     """The action of the word w on the line a + b = n of the plane, as a
     graded operator on k[v, v^-1]."""
-    return _fold(_as_uq(w), _Hom(_plane_letters(n), LAURENT_X))
+    return _image(w, _plane_letters(n), LAURENT_X)
 
 
 def act_on_plane(w, s):

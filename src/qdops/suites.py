@@ -113,11 +113,11 @@ def _rand_scalar(rng, nvars=1):
     return c
 
 
-def _rand_word(rng, length, domain=POLY_X):
-    gop = _one(domain)
+def _rand_word(rng, length):
+    gop = _one()
     for _ in range(length):
         name, arg = rng.choice(_WORD_ATOMS)
-        gop = gop * _g(name, arg, domain)
+        gop = gop * _g(name, arg)
     return gop
 
 
@@ -143,12 +143,13 @@ def _mul_chain(factors):
     return e
 
 
-def _rand_degree0_expr(rng, max_leaves=8):
-    """Random degree-zero expression over the shape-admissible leaves."""
-    k = rng.randint(0, (max_leaves - 0) // 2 - 1)  # number of x / D pairs
+def _rand_degree0_expr(rng):
+    """Random degree-zero expression over the shape-admissible leaves, at
+    most 8 of them."""
+    k = rng.randint(0, 3)  # number of x / D pairs
     leaves = [EGen("x")] * k
     leaves += [EGen("D", rng.choice((-1, 0, 1))) for _ in range(k)]
-    for _ in range(rng.randint(0, max_leaves - 2 * k)):
+    for _ in range(rng.randint(0, 8 - 2 * k)):
         leaves.append(EGen("s", rng.choice((-1, 1))))
     if not leaves:
         return ENum(1)

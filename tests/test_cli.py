@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qdops.cli import MAX_LEVEL, MAX_VARIABLES, main
-from qdops.opexpr import _MAX_DEPTH
+from qdops.opexpr import _MAX_DEPTH, MAX_TEXT
 
 
 def run(capsys, *argv):
@@ -139,6 +140,8 @@ def test_unknown_suite_exits_3(capsys):
     (["eval", "q1/(q1+q2)", "--ring", "n=2"], 3, "DomainMismatch"),
     (["eval", "(q1+q2)^-1*x1", "--ring", "n=2"], 3, "DomainMismatch"),
     (["uq", "E*F", "--level", str(MAX_LEVEL + 1)], 2, "parse error"),
+    (["uq", "E/E"], 3, "EngineError"),
+    (["uq", "E/(q-q)"], 3, "DivisionByZero"),
 ])
 def test_bad_input_is_a_typed_failure(capsys, argv, rc, name):
     got, out, err = run(capsys, *argv)
@@ -228,6 +231,41 @@ def test_huge_level_is_refused_at_once():
     assert time.monotonic() - t0 < 2.0
     assert (p.returncode, p.stdout) == (2, "")
     assert "parse error" in p.stderr and "Traceback" not in p.stderr
+
+
+def _at_most_1_gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_integrate_answer_text_is_a_typed_error_past_the_budget():
+    # integrate's answer is a dag (39,503 distinct nodes for 9 letters)
+    # that prints as a tree: 1.5 MB at 6 letters, 328 MB at 8.  Q is
+    # printed before it is verified, so the text budget stops the run at
+    # once; the address-space cap keeps a run without the budget from
+    # exhausting the machine
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    for word, rc in [("1,2,-1,2,1,-2", 0), ("1,2,-1,2,1,-2,1,2,-1", 3)]:
+        t0 = time.monotonic()
+        p = subprocess.run([sys.executable, "-m", "qdops.cli", "integrate",
+                            "--word", word, "--b", "1"], capture_output=True,
+                           text=True, timeout=60, preexec_fn=_at_most_1_gb,
+                           env=dict(os.environ, PYTHONPATH=path))
+        assert time.monotonic() - t0 < 5.0, word
+        assert p.returncode == rc, (word, p.stderr[-300:])
+        if rc:
+            assert p.stdout == ""
+            assert p.stderr.startswith("BudgetExceeded: ")
+        else:
+            assert p.stdout.endswith("verification: PASS\n")
+
+
+def test_golden_transcripts_stay_well_inside_the_text_budget():
+    # a node's text is part of its parent's, so no node of a recorded
+    # expression printed more than its transcript holds
+    from test_cli_golden import _recorded
+    for t in _recorded().values():
+        assert len(t["stdout"]) + len(t["stderr"]) <= MAX_TEXT // 100, t["argv"]
 
 
 def test_golden_transcripts_stay_well_inside_the_degree_budget(monkeypatch):

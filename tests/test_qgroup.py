@@ -251,6 +251,18 @@ def test_line_operators_satisfy_the_defining_relations():
         assert not equals(op("K*E*Kinv"), op("E") * qp(-2)), n
 
 
+def test_scalars_in_words_evaluate_as_scalars():
+    # a scalar factor is a scalar wherever it stands, so q^-1 and the
+    # inverse of q - q^-1 are legal, and a divisor is an ordinary child
+    assert equals(alpha("q^-1*E"), alpha("E/q"))
+    assert equals(gamma("q^-1*E"), gamma("E/q"))
+    for n in range(-3, 4):
+        assert equals(plane_line_operator("q^-1*E", n),
+                      plane_line_operator("E/q", n))
+    assert equals(alpha("(q-q^-1)^-1*(K-Kinv)"), alpha("E*F - F*E"))
+    assert equals(alpha("q^-2"), GradedOperator.identity(POLY_X) * qp(-2))
+
+
 def test_plane_word_errors_are_typed():
     s = PlaneElement.monomial(1, 1)
     with pytest.raises(EngineError, match="U_q brackets are untwisted"):
