@@ -164,12 +164,6 @@ class SimplicityWitness:
         self.steps = list(steps)
         self.measures = list(measures)
 
-    def __len__(self):
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
     def describe(self):
         out = []
         for st in self.steps:
@@ -184,24 +178,26 @@ class SimplicityWitness:
         return out
 
 
+def _move(g, step):
+    """The operator g after the witness move `step`."""
+    if step[0] == "sigma":
+        return generator("sigma", POLY_X, step[1]) * g
+    if step[0] == "bracket_x":
+        return twisted_bracket(g, generator("x", POLY_X))
+    if step[0] == "bracket_d":
+        return twisted_bracket(generator("dbeta", POLY_X, 0), g)
+    if step[0] == "scale":
+        return g * step[1]
+    raise EngineError(f"unknown witness move {step[0]!r}")
+
+
 def replay(witness, start):
     """Apply the witness moves to an operator/expression, semantically."""
     if isinstance(start, ShapeForm):
         start = start.to_expr()
     g = evaluate(start) if isinstance(start, OperatorExpr) else start
-    X = generator("x", POLY_X)
-    D0 = generator("dbeta", POLY_X, 0)
     for st in witness.steps:
-        if st[0] == "sigma":
-            g = generator("sigma", POLY_X, st[1]) * g
-        elif st[0] == "bracket_x":
-            g = twisted_bracket(g, X)
-        elif st[0] == "bracket_d":
-            g = twisted_bracket(D0, g)
-        elif st[0] == "scale":
-            g = g * st[1]
-        else:
-            raise EngineError(f"unknown witness move {st[0]!r}")
+        g = _move(g, st)
     return g
 
 
@@ -237,17 +233,17 @@ def simplicity_witness(f):
     if g.is_zero():
         raise ZeroOperator("cannot witness the zero operator")
 
-    X = generator("x", POLY_X)
-    D0 = generator("dbeta", POLY_X, 0)
     steps = []
     measures = []
     pend = 1
 
     def push(move, measure):
-        nonlocal pend
+        """Record the move and apply it to g."""
+        nonlocal g, pend
         steps.append(move)
         measures.append(measure)
         pend = 0 if move[0] == "sigma" else 1
+        g = _move(g, move)
 
     while True:
         c = _as_scalar_op(g)
@@ -260,7 +256,6 @@ def simplicity_witness(f):
             # multiplication by p(x): differentiate down to a scalar
             for deg in range(max(p), 0, -1):
                 push(("bracket_d",), (0, 0, deg, pend))
-                g = twisted_bracket(D0, g)
             c = _as_scalar_op(g)
             if c is None:
                 raise EngineError("polynomial phase missed the scalar")
@@ -281,11 +276,9 @@ def simplicity_witness(f):
             # twist so the bracket kills the targeted class; the next pass
             # re-checks the scalar / polynomial exits before bracketing
             push(("sigma", s), (d, t, deg, pend))
-            g = generator("sigma", POLY_X, s) * g
             sf = sf.left_sigma(s)
             continue
         push(("bracket_x",), (d, t, deg, pend))
-        g = twisted_bracket(g, X)
         sf = sf.bracket_x()
         if g.is_zero():
             raise EngineError("simplicity walk annihilated the operator")
@@ -320,7 +313,7 @@ def _antidifference(t, v):
             for (iv, jv), c in t.coeffs.items() if jv[v] == top))
         s = s + piece
         t = t - (piece.subst_shift(unit) - piece)
-    return s - s.substitute_coord(v, 0)
+    return s - s.subst_shift((0,) * n, at=v)
 
 
 def integrate_nd(family):

@@ -132,12 +132,12 @@ def binary_power(x, k):
 class ExactScalar:
     """An element of Q(q) -- or Q(q_1..q_n) when nvars > 1.  Immutable."""
 
-    __slots__ = ("nvars", "c", "num", "den", "_hash")
+    __slots__ = ("nvars", "c", "num", "den")
 
     def __init__(self, nvars, c, num, den):
         # callers go through the factory helpers; this normalizes (in
         # several variables, den must be a product of univariate factors)
-        self.nvars, self._hash = nvars, None
+        self.nvars = nvars
         if nvars == 1:
             num, den = kernel.pnorm(list(num)), kernel.pnorm(list(den))
         else:
@@ -190,7 +190,7 @@ class ExactScalar:
         """The scalar with parts already in canonical form (c a Fraction),
         taken as they are."""
         s = object.__new__(ExactScalar)
-        s.nvars, s.c, s.num, s.den, s._hash = nvars, c, num, den, None
+        s.nvars, s.c, s.num, s.den = nvars, c, num, den
         return s
 
     # -- factories ---------------------------------------------------------
@@ -343,9 +343,7 @@ class ExactScalar:
                 == (other.nvars, other.c, other.num, other.den))
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.c, _hashable(self.num), _hashable(self.den)))
-        return self._hash
+        return hash((self.c, _hashable(self.num), _hashable(self.den)))
 
     # -- q = 1 + t -----------------------------------------------------------
 

@@ -30,12 +30,11 @@ handler per node kind, named by the node class's `_op`:
     div(e, a, b)  neg(e, a)  pow(e, a)  bracket(e, a, b)
 
 called with the node and the values of its children `e._kids()`, in
-that order (a, b, or base).  `_Algebra` supplies a + b, a - b, -a, a * b
-and a ** e.k; num, gen, div and bracket raise EngineError naming the
-node unless the target defines them.  Handlers must never change a
-child's value in place: memoized values are shared by every parent of
-the subtree, and a memo passed as `known` shares them with later calls
-too.  Printing holds each node's text to MAX_TEXT characters.
+that order (a, b, or base).  `_Algebra` supplies a + b, a - b, -a and
+a * b; every target writes num, gen, div, pow and bracket.  Handlers
+must never change a child's value in place: memoized values are shared
+by every parent of the subtree, and a memo passed as `known` shares
+them with later calls too.  Printing holds each node's text to MAX_TEXT characters.
 """
 
 from __future__ import annotations
@@ -65,30 +64,9 @@ class OperatorExpr:
     def __repr__(self):
         return f"<expr {self}>"
 
-    def __add__(self, other):
-        return EAdd(self, _as_expr(other))
-
-    def __sub__(self, other):
-        return ESub(self, _as_expr(other))
-
-    def __mul__(self, other):
-        return EMul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return EMul(_as_expr(other), self)
-
-    def __pow__(self, k):
-        return EPow(self, k)
-
     def _kids(self):
         """Children in fold order; leaves have none."""
         return ()
-
-
-def _as_expr(v):
-    if isinstance(v, OperatorExpr):
-        return v
-    return ENum(scalar(v))
 
 
 class ENum(OperatorExpr):
@@ -218,14 +196,7 @@ def _fold(root, alg, known=None):
 
 
 class _Algebra:
-    """Base of the targets of `_fold`; see the module docstring.  A
-    subclass names its `target` for the EngineError on a node kind it has
-    no handler for."""
-
-    def unsupported(self, e, *_):
-        raise EngineError(f"{self.target}: no rule for {type(e).__name__}")
-
-    num = gen = div = bracket = unsupported
+    """Base of the targets of `_fold`; see the module docstring."""
 
     def add(self, e, a, b):
         return a + b
@@ -238,9 +209,6 @@ class _Algebra:
 
     def mul(self, e, a, b):
         return a * b
-
-    def pow(self, e, a):
-        return a ** e.k
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +248,6 @@ def _joined(s, p):
 
 class _Render(_Algebra):
     """Values: (text, precedence of its top node)."""
-
-    target = "printing"
 
     def num(self, e):
         return _scalar_atom(e.value)
@@ -589,8 +555,6 @@ def evaluate(e, domain=POLY_X, known=None):
 
 class _Eval(_Algebra):
     """Values: ExactScalar while a subtree is scalar, else GradedOperator."""
-
-    target = "evaluation"
 
     def __init__(self, domain):
         self.domain = domain

@@ -95,8 +95,11 @@ class Symbol(TermMap):
             for (i1, j1), c1 in self.coeffs.items()
             for (i2, j2), c2 in other.coeffs.items()))
 
-    def subst_shift(self, e):
-        """u |-> q^e u, m |-> m + e (the inner-shift substitution)."""
+    def subst_shift(self, e, at=None):
+        """u |-> q^e u, m |-> m + e (the inner-shift substitution).  With
+        `at` = v, coordinate v is then read at m_v = 0: the result is free
+        of u_v and m_v, and its value at m is this symbol's value at m + e
+        with entry v set to e_v."""
         n = self.nvars
 
         def terms():
@@ -104,6 +107,12 @@ class Symbol(TermMap):
                 for v in range(n):
                     if e[v] and iv[v]:
                         c = c * ExactScalar.q_power(e[v] * iv[v], n, v)
+                if at is not None:
+                    # (m_v + e_v)^j at m_v = 0
+                    if jv[at]:
+                        c = c * e[at] ** jv[at]
+                    iv = iv[:at] + (0,) + iv[at + 1:]
+                    jv = jv[:at] + (0,) + jv[at + 1:]
                 # expand prod_v (m_v + e_v)^{j_v}; the stems stay distinct
                 partial = [((), c)]
                 for v in range(n):
@@ -116,20 +125,6 @@ class Symbol(TermMap):
                                for stem, cc in partial for r, w in enumerate(ws)]
                 for jnew, cc in partial:
                     yield (iv, jnew), cc
-
-        return Symbol(n, terms())
-
-    def substitute_coord(self, v, mval):
-        """Set m_v = mval (so u_v = q_v^mval); coordinate v goes inert."""
-        n = self.nvars
-
-        def terms():
-            for (iv, jv), w in self.coeffs.items():
-                if iv[v]:
-                    w = w * ExactScalar.q_power(iv[v] * mval, n, v)
-                if jv[v]:
-                    w = w * (mval ** jv[v])
-                yield (iv[:v] + (0,) + iv[v + 1:], jv[:v] + (0,) + jv[v + 1:]), w
 
         return Symbol(n, terms())
 
@@ -149,9 +144,6 @@ class Symbol(TermMap):
 
     def is_m_free(self):
         return all(all(j == 0 for j in jv) for (_, jv) in self.coeffs)
-
-    def max_m_degree(self):
-        return max((sum(jv) for (_, jv) in self.coeffs), default=0)
 
     def __repr__(self):
         return f"Symbol({self})"
@@ -190,9 +182,6 @@ class GradedOperator(TermMap):
 
     def is_identity(self):
         return self == GradedOperator.identity(self.domain)
-
-    def part(self, e):
-        return self.parts.get(_tup(self.domain, e), Symbol.zero(self.domain.nvars))
 
     def degrees(self):
         if self.domain.nvars == 1:
@@ -241,7 +230,8 @@ class GradedOperator(TermMap):
             for v, ev in enumerate(e):
                 if ev < 0:
                     for mval in range(-ev):
-                        if not s.substitute_coord(v, mval).is_zero():
+                        m = tuple(mval if w == v else 0 for w in range(len(e)))
+                        if not s.subst_shift(m, at=v).is_zero():
                             return False
         return True
 
@@ -443,11 +433,6 @@ class TruncatedOperator(TermMap):
 
     def _terms(self):
         return (((e, j), c) for e, f in self.parts.items() for j, c in f.items())
-
-    @staticmethod
-    def identity(domain, level):
-        return TruncatedOperator(domain, level,
-                                 {0: {0: TruncatedScalar.one(level)}})
 
     def __mul__(self, other):
         o = self._chk(other)

@@ -68,8 +68,6 @@ class _Hom(_Eval):
     """Values: ExactScalar while a subtree is scalar, else GradedOperator,
     with the letters read from a table of their images."""
 
-    target = "U_q morphism"
-
     def __init__(self, letters, domain):
         super().__init__(domain)
         self.letters = letters

@@ -206,8 +206,6 @@ class _Shapes(_Algebra):
     """Values: ShapeForm; sums, differences, negatives and products are
     the ShapeForm ring operations."""
 
-    target = "shape normal form"
-
     def num(self, e):
         return ShapeForm.of_term(0, {0: e.value}, ())
 

@@ -7,6 +7,7 @@ which is the definition the rest of the package leans on.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdops.exactscalar import ExactScalar, scalar
 from qdops.rings import POLY_X, POLY_Y, LAURENT_X, RingElement, poly_n
@@ -116,6 +117,34 @@ def test_products_of_nonzero_words_are_nonzero():
         psi = rand_word(rng, rng.randint(1, 3))
         assert not compose(phi, psi).is_zero()
         assert not compose(psi, phi).is_zero()
+
+
+@st.composite
+def _shifted_symbols(draw):
+    """(symbol in 1-3 variables, shift e, coordinate v, evaluation point m)."""
+    n = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    vec = lambda lo, hi: st.tuples(*[st.integers(lo, hi)] * n)
+    coeffs = []
+    for _ in range(draw(st.integers(1, 4))):
+        iv, jv = draw(vec(-2, 2)), draw(vec(0, 2))
+        c = scalar(draw(st.integers(-3, 3).filter(bool)), n)
+        w = draw(st.integers(0, n - 1))
+        coeffs.append(((iv, jv), c * qp(draw(small), n, w)))
+    return (Symbol(n, coeffs), draw(vec(-2, 2)), draw(st.integers(0, n - 1)),
+            draw(vec(-2, 3)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_shifted_symbols())
+def test_subst_shift_at_a_coordinate_reads_it_at_its_shift(case):
+    # s(q^e u, m + e) with coordinate v read at m_v = 0: free of u_v and
+    # m_v, and worth s at m + e with m_v + e_v replaced by e_v
+    sym, e, v, m = case
+    out = sym.subst_shift(e, at=v)
+    assert all(iv[v] == 0 and jv[v] == 0 for iv, jv in out.coeffs)
+    at = tuple(e[w] if w == v else m[w] + e[w] for w in range(sym.nvars))
+    assert out.eval_at(m) == sym.eval_at(at)
 
 
 # -- brackets ---------------------------------------------------------------

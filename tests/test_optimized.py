@@ -61,32 +61,54 @@ def test_every_imported_name_is_read():
 
 
 def _reads(path, strings):
-    """Names a file reads: loaded names and attributes, imported names and,
-    with `strings`, string constants."""
-    for node in ast.walk(ast.parse(path.read_text())):
+    """Names a file reads, as (name, how): loaded names ("name", or
+    "class" for one loaded directly in a class body, such as the alias
+    `__radd__ = __add__`), loaded attributes ("attr"), imported names
+    ("name") and, with `strings`, string constants ("attr")."""
+    tree = ast.parse(path.read_text())
+    in_class = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                for stmt in c.body
+                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))
+                for n in ast.walk(stmt)}
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            yield node.id, "class" if id(node) in in_class else "name"
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            yield node.attr, "attr"
         elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1]
+            yield node.name.split(".")[-1], "name"
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
-            yield node.value
+            yield node.value, "attr"
+
+
+def _definitions(tree):
+    """(definition node, is a method) for every def and class in tree."""
+    methods = {id(stmt) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for stmt in c.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node, (id(node) in methods
+                         and not isinstance(node, ast.ClassDef))
 
 
 def test_every_defined_name_is_read():
     # string constants count inside the package: `_fold` reaches the
-    # algebra handlers by a node's `_op` name
+    # algebra handlers by a node's `_op` name.  A method is read only
+    # through an attribute, a string or a name in a class body; a plain
+    # name elsewhere is some function's, not the method's.
     package = sorted((SRC / "qdops").glob("*.py"))
-    read = {name for p in package for name in _reads(p, strings=True)}
-    read |= {name for d in ("tests", "perfbench")
-             for p in sorted((ROOT / d).rglob("*.py"))
-             for name in _reads(p, strings=False)}
+    reads = {r for p in package for r in _reads(p, strings=True)}
+    reads |= {r for d in ("tests", "perfbench")
+              for p in sorted((ROOT / d).rglob("*.py"))
+              for r in _reads(p, strings=False)}
+    as_method = {name for name, how in reads if how != "name"}
+    as_name = {name for name, _ in reads}
     found = [f"{p.name}:{node.lineno} {node.name}"
-             for p in package for node in ast.walk(ast.parse(p.read_text()))
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-             and not (node.name.startswith("__") and node.name.endswith("__"))
-             and node.name not in read]
+             for p in package
+             for node, method in _definitions(ast.parse(p.read_text()))
+             if not (node.name.startswith("__") and node.name.endswith("__"))
+             and node.name not in (as_method if method else as_name)]
     assert found == []

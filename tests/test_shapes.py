@@ -8,7 +8,7 @@ from qdops.exactscalar import ExactScalar, scalar
 from qdops.opexpr import parse, evaluate, EGen
 from qdops.opsym import equals
 from qdops.shapes import ShapeForm, shape_normalize
-from qdops.errors import UnsupportedGenerator
+from qdops.errors import EngineError, UnsupportedGenerator
 
 qp = ExactScalar.q_power
 
@@ -60,6 +60,33 @@ def test_round_trip_random():
         text = rand_expr_text(rng)
         e = parse(text)
         assert equals(evaluate(shape_normalize(e).to_expr()), evaluate(e))
+
+
+BRACKET_OPERANDS = ["x", "x^2", "s[1]", "s[-1]", "D[0]", "D[1]", "D[-1]",
+                    "tau", "(x+1)", "(2*s[-1])^-1"]
+
+
+@pytest.mark.parametrize("t", range(-2, 3))
+def test_twisted_brackets_keep_their_value(t):
+    for a in BRACKET_OPERANDS:
+        for b in BRACKET_OPERANDS:
+            e = parse(f"bracket({a},{b},{t})")
+            assert equals(evaluate(shape_normalize(e).to_expr()),
+                          evaluate(e)), (a, b)
+
+
+@pytest.mark.parametrize("text", [
+    "s[1]^-2", "(2*s[-1])^-1", "(q*s[2])^-3", "x*(3*s[1])^-2*D[1]", "2^-3"])
+def test_negative_powers_of_invertible_factors(text):
+    e = parse(text)
+    assert equals(evaluate(shape_normalize(e).to_expr()), evaluate(e))
+
+
+@pytest.mark.parametrize("text", ["x^-1", "(s[1]+1)^-1", "D[0]^-1",
+                                  "(x*s[1])^-2"])
+def test_negative_power_of_a_non_invertible_factor(text):
+    with pytest.raises(EngineError):
+        shape_normalize(parse(text))
 
 
 def test_bracket_x_move_matches_engine():
