@@ -34,7 +34,8 @@ that order (a, b, or base).  `_Algebra` supplies a + b, a - b, -a and
 a * b; every target writes num, gen, div, pow and bracket.  Handlers
 must never change a child's value in place: memoized values are shared
 by every parent of the subtree, and a memo passed as `known` shares
-them with later calls too.  Printing holds each node's text to MAX_TEXT characters.
+them with later calls too.  Printing holds each node's text to
+MAX_TEXT characters.
 """
 
 from __future__ import annotations

@@ -123,14 +123,13 @@ def test_products_of_nonzero_words_are_nonzero():
 def _shifted_symbols(draw):
     """(symbol in 1-3 variables, shift e, coordinate v, evaluation point m)."""
     n = draw(st.integers(1, 3))
-    small = st.integers(-2, 2)
     vec = lambda lo, hi: st.tuples(*[st.integers(lo, hi)] * n)
     coeffs = []
     for _ in range(draw(st.integers(1, 4))):
         iv, jv = draw(vec(-2, 2)), draw(vec(0, 2))
         c = scalar(draw(st.integers(-3, 3).filter(bool)), n)
         w = draw(st.integers(0, n - 1))
-        coeffs.append(((iv, jv), c * qp(draw(small), n, w)))
+        coeffs.append(((iv, jv), c * qp(draw(st.integers(-2, 2)), n, w)))
     return (Symbol(n, coeffs), draw(vec(-2, 2)), draw(st.integers(0, n - 1)),
             draw(vec(-2, 3)))
 

@@ -61,10 +61,10 @@ def test_every_imported_name_is_read():
 
 
 def _reads(path, strings):
-    """Names a file reads, as (name, how): loaded names ("name", or
-    "class" for one loaded directly in a class body, such as the alias
-    `__radd__ = __add__`), loaded attributes ("attr"), imported names
-    ("name") and, with `strings`, string constants ("attr")."""
+    """(name, whether the read can reach a method) for the names a file
+    reads: loaded names, which reach a method only when loaded directly in
+    a class body (an alias such as `__radd__ = __add__`), loaded
+    attributes, imported names and, with `strings`, string constants."""
     tree = ast.parse(path.read_text())
     in_class = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                 for stmt in c.body
@@ -73,14 +73,14 @@ def _reads(path, strings):
                 for n in ast.walk(stmt)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, "class" if id(node) in in_class else "name"
+            yield node.id, id(node) in in_class
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, "attr"
+            yield node.attr, True
         elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1], "name"
+            yield node.name.split(".")[-1], False
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
-            yield node.value, "attr"
+            yield node.value, True
 
 
 def _definitions(tree):
@@ -104,7 +104,7 @@ def test_every_defined_name_is_read():
     reads |= {r for d in ("tests", "perfbench")
               for p in sorted((ROOT / d).rglob("*.py"))
               for r in _reads(p, strings=False)}
-    as_method = {name for name, how in reads if how != "name"}
+    as_method = {name for name, method in reads if method}
     as_name = {name for name, _ in reads}
     found = [f"{p.name}:{node.lineno} {node.name}"
              for p in package
