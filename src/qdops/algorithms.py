@@ -34,21 +34,24 @@ from .shapes import ShapeForm, shape_normalize
 # A word (a_1, ..., a_n) encodes the product P = D[a_n] ... D[a_1]
 # (a_1 is the rightmost factor).  integrate returns Q with [Q, x] = P s[b].
 
+# the nodes integrate built: words under (word, b), pieces under (t, b, a)
 _int_cache = {}
 
-# the most integrate values on POLY_X that verify_integration keeps
-INT_VALUE_CACHE_SIZE = 512
+# the most node values on POLY_X that verify_integration keeps
+INT_VALUE_CACHE_SIZE = 1152
 
 
 class _IntValues(OrderedDict):
-    """The values on POLY_X of the nodes `integrate` returned, keyed by
-    the node objects themselves and evicted least recently used first:
-    the `known` memo of `opexpr._fold`.  The antiderivative of a word is
-    built from those of shorter words, so verifying it reuses theirs."""
+    """The values on POLY_X of the nodes `integrate` built, words and
+    pieces, keyed by the node objects themselves and evicted least
+    recently used first: the `known` memo of `opexpr._fold`.  The
+    antiderivative of a word is a sum of pieces, each built from that of
+    a shorter word and shared by the word's rotations, so verifying it
+    reuses their values."""
 
     def __init__(self):
         super().__init__()
-        self.nodes = set()      # every node integrate returned
+        self.nodes = set()      # every word and piece integrate built
 
     def get(self, e):
         v = super().get(e)
@@ -70,13 +73,23 @@ def _qp(e):
     return ExactScalar.q_power(e)
 
 
-def _weighted_bracket(T, d, k):
-    """[T, d]_k = T d - q^{-k} d T  for a degree -1 factor d."""
-    rhs = EMul(d, T)
-    w = -k
-    if w:
-        rhs = EMul(ENum(_qp(w)), rhs)
-    return ESub(EMul(T, d), rhs)
+def _piece(t, b, a):
+    """[T, D[a]]_k = T D[a] - q^{-k} D[a] T with T = integrate(t, b) and
+    k = -(len(t) + 1) a: the piece of the cyclic decomposition that every
+    rotation of the word (a,) + t shares.  It is built once, kept in
+    `_int_cache` under the key (t, b, a), and its value goes to the memo
+    like a word's."""
+    key = (t, b, a)
+    hit = _int_cache.get(key)
+    if hit is None:
+        T, d = integrate(t, b), EGen("D", a)
+        rhs = EMul(d, T)
+        w = (len(t) + 1) * a
+        if w:
+            rhs = EMul(ENum(_qp(w)), rhs)
+        hit = _int_cache[key] = ESub(EMul(T, d), rhs)
+        _int_value_cache.nodes.add(hit)
+    return hit
 
 
 def integrate(word, b=0):
@@ -108,14 +121,15 @@ def integrate(word, b=0):
     else:
         # cyclic decomposition: T_i integrates the word with a_i removed
         # and the remaining letters rotated so a_{i+1} comes rightmost.
+        # The piece [T_i, D[a_i]]_{k_i} depends on a_i and those letters
+        # alone, so the rotations of a word share theirs (`_piece`).
         terms = None
         ksum = 0
         for i in range(1, n + 1):
             a_i = word[i - 1]
             t_i = word[i:] + word[:i - 1]
-            T_i = integrate(t_i, b)
             k_i = -n * a_i
-            piece = _weighted_bracket(T_i, EGen("D", a_i), k_i)
+            piece = _piece(t_i, b, a_i)
             wexp = (i - 1) * b - ksum
             if wexp:
                 piece = EMul(ENum(_qp(wexp)), piece)

@@ -291,6 +291,13 @@ class ExactScalar:
             return o
         if self.c == 0 or o.c == 0:
             return ExactScalar.from_int(0, self.nvars)
+        # a rational factor scales c alone: the other's parts stay canonical
+        if o.is_rational():
+            return ExactScalar._canonical(self.nvars, self.c * o.c,
+                                          self.num, self.den)
+        if self.is_rational():
+            return ExactScalar._canonical(self.nvars, self.c * o.c,
+                                          o.num, o.den)
         if self.nvars == 1:
             # cross-cancel: the four parts are then pairwise coprime,
             # primitive and lead positive, so (Gauss's lemma) their

@@ -201,6 +201,7 @@ def gamma_generators_check():
 # leaves the plane.
 
 
+@cache
 def _plane_letters(n):
     """The letters on the line a + b = n, from the formulas above with
     a = n - b."""

@@ -1,5 +1,6 @@
 """Bracket antiderivatives and the simplicity reduction."""
 
+import hashlib
 import itertools
 import random
 
@@ -109,6 +110,56 @@ def test_memo_is_bounded_and_keyed_by_nodes(monkeypatch):
         assert isinstance(k, OperatorExpr) and nodes.get(id(k)) is k
     # the most recently verified words stay
     assert integrate(*cases[-1]) in memo
+
+
+def _reachable(root):
+    """The ids of every node of the dag below root, root included."""
+    seen, stack = set(), [root]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(e._kids())
+    return seen
+
+
+def test_rotations_share_their_pieces():
+    # the piece [T_i, D[a_i]]_k depends on a_i and the letters after it
+    # read cyclically, so every rotation of a word at the same b holds
+    # the same piece objects
+    for word, b in [((1, 2), 0), ((1, -2, 2), 1), ((0, 1, 1), -1),
+                    ((2, -1, 0, 1), 3), ((1, 1), 0), ((-2, 1, 1, 2), -1)]:
+        n = len(word)
+        want = {(word[i + 1:] + word[:i], b, word[i]) for i in range(n)}
+        for r in range(n):
+            Q = integrate(word[r:] + word[:r], b)
+            below = _reachable(Q)
+            pieces = {key for key, v in algorithms._int_cache.items()
+                      if len(key) == 3 and len(key[0]) == n - 1
+                      and key[1] == b and id(v) in below}
+            assert pieces == want, (word, b, r)
+
+
+def test_memo_entries_equal_fresh_evaluation_after_a_shuffled_sweep():
+    algorithms._int_value_cache.clear()
+    for word, b in _memo_cases():
+        _, ok = verify_integration(word, b)
+        assert ok, (word, b)
+    memo = algorithms._int_value_cache
+    pieces = {id(v) for key, v in algorithms._int_cache.items()
+              if len(key) == 3}
+    assert any(id(e) in pieces for e in memo)
+    for e, value in list(memo.items()):
+        assert equals(value, evaluate(e))
+
+
+def test_printed_answers_stay_the_same():
+    text = "".join(
+        expr_str(integrate(w, b)) + "\n" for n in range(4)
+        for w in itertools.product(range(-2, 3), repeat=n)
+        for b in range(-3, 4))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2650325da5b612861d106ee70182bb6d454d88f885ae6272d3a78e20536ed95b")
 
 
 def test_problem_expr_round_trip():

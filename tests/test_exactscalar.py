@@ -287,3 +287,27 @@ def test_dividing_by_a_factor_in_several_variables_is_refused():
     good = (q1 - 1) * (q2 + 1) * q1 * q2
     assert (good * good.inverse()).is_one()
     assert (q1 / good) * good == q1
+
+
+def test_products_with_a_rational_operand_equal_the_normalizing_constructor():
+    # a rational factor only scales c, in every arity; the product taken
+    # from the other operand's parts as they are must match the
+    # normalizing constructor on the multiplied parts
+    rng = random.Random(31)
+    for nv in (1, 2, 3):
+        mul = pmul if nv == 1 else _mpoly_mul
+        for _ in range(60):
+            if nv == 1:
+                x = rand_scalar(rng)
+            else:
+                a, b = rand_factored(rng, nv), rand_factored(rng, nv)
+                x = rng.choice([a, a + b, a * b - 1])
+            f = Fraction(rng.choice([-5, -1, 1, 2, 7]), rng.randint(1, 6))
+            r = ExactScalar.from_fraction(f, nv)
+            for got, (u, v) in ((x * r, (x, r)), (r * x, (r, x)),
+                                (x * f, (x, r)), (f * x, (x, r)),
+                                (r * r, (r, r))):
+                want = ExactScalar(nv, u.c * v.c, mul(u.num, v.num),
+                                   mul(u.den, v.den))
+                assert _parts(got) == _parts(want)
+                assert hash(got) == hash(want)
