@@ -13,6 +13,15 @@ factor of N and D divides D, so it lives in a single q_v and is cancelled
 there.  The triple is therefore canonical in every arity, and equality,
 hashing and inversion are structural.
 
+In one variable, products and sums build their result in canonical form
+without the normalizing constructor.  A product cross-cancels N1 against
+D2 and N2 against D1.  A sum follows Henrici's rule (Knuth, TAOCP 2,
+4.5.1): with g = gcd(D1, D2) and D_i = g*d_i the sum is
+(a*N1*d2 + b*N2*d1) / (d1*D2).  Its numerator is coprime to d1*d2, since
+N_i is coprime to D_i and d1 to d2, so only h = gcd(num, g) can cancel.
+Every gcd is then taken against a factor of D1 or D2, never against the
+product D1*D2.
+
 `truncate` maps a scalar with no pole at q = 1 into Q[t]/(t^n) via
 q = 1 + t; `valuation_at_1` is the (q-1)-adic valuation that guards it.
 """
@@ -254,13 +263,38 @@ class ExactScalar:
         if o.c == 0:
             return self
         if self.nvars == 1:
+            # Henrici's rule: with g = gcd(D1, D2) and D_i = g*d_i the sum
+            # is (a*N1*d2 + b*N2*d1) / (d1*D2), its content and sign moved
+            # into c.  A factor of d1 dividing num would divide N1*d2, but
+            # N1 is coprime to D1 and d1 to d2 (likewise for d2), so only
+            # h = gcd(num, g) cancels, and then no factor of g is left in
+            # both num/h and g/h.  The parts are primitive and lead
+            # positive (Gauss's lemma): the result is canonical as it is.
             a, b = self.c, o.c
+            d1, d2 = self.den, o.den
+            if d1 == d2:
+                g, d1, d2 = d1, _ONE, _ONE
+            else:
+                g = kernel.pgcd(d1, d2)
+                if len(g) > 1:
+                    d1, d2 = kernel.pdiv_exact(d1, g), kernel.pdiv_exact(d2, g)
             num = kernel.padd(
-                kernel.pmul_int(kernel.pmul(list(self.num), list(o.den)), a.numerator * b.denominator),
-                kernel.pmul_int(kernel.pmul(list(o.num), list(self.den)), b.numerator * a.denominator),
+                kernel.pmul_int(kernel.pmul(self.num, d2), a.numerator * b.denominator),
+                kernel.pmul_int(kernel.pmul(o.num, d1), b.numerator * a.denominator),
             )
-            den = kernel.pmul(list(self.den), list(o.den))
-            return ExactScalar(1, Fraction(1, a.denominator * b.denominator), num, den)
+            if not num:
+                return ExactScalar.from_int(0)
+            cn = kernel.pcontent(num)
+            if num[-1] < 0:
+                cn = -cn
+            num = [x // cn for x in num]
+            den = kernel.pmul(d1, o.den)
+            if len(g) > 1:
+                h = kernel.pgcd(num, g)
+                if len(h) > 1:
+                    num, den = kernel.pdiv_exact(num, h), kernel.pdiv_exact(den, h)
+            return ExactScalar._canonical(1, Fraction(cn, a.denominator * b.denominator),
+                                          tuple(num), tuple(den))
         a, b = self.c, o.c
         num = _madd(
             _mscale(_mmul(self.num, o.den), a.numerator * b.denominator),

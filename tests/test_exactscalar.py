@@ -7,10 +7,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from qdops import exactscalar
 from qdops.exactscalar import (ExactScalar, scalar, q_number, q_factorial,
                                TruncatedScalar)
 from qdops.errors import DivisionByZero, DomainMismatch
-from qdops.kernel import pmul
+from qdops.kernel import padd, pgcd, pmul, pmul_int
 
 q = sympy.Symbol("q")
 
@@ -22,7 +23,9 @@ def to_sympy(s):
 
 
 def same(a, b_sym):
-    return sympy.simplify(to_sympy(a) - b_sym) == 0
+    # cancel brings a rational function of q to lowest terms, so it is
+    # zero exactly when the difference is
+    return sympy.cancel(to_sympy(a) - b_sym) == 0
 
 
 def rand_scalar(rng, allow_zero=False):
@@ -311,3 +314,91 @@ def test_products_with_a_rational_operand_equal_the_normalizing_constructor():
                                    mul(u.den, v.den))
                 assert _parts(got) == _parts(want)
                 assert hash(got) == hash(want)
+
+
+def _sum_by_constructor(x, y, sign=1):
+    """x + sign*y from the normalizing constructor on the cross-multiplied
+    parts: (a N1 D2 + b N2 D1) / (D1 D2)."""
+    a, b = x.c, sign * y.c
+    num = padd(pmul_int(pmul(x.num, y.den), a.numerator * b.denominator),
+               pmul_int(pmul(y.num, x.den), b.numerator * a.denominator))
+    return ExactScalar(1, Fraction(1, a.denominator * b.denominator), num,
+                       pmul(x.den, y.den))
+
+
+# shared denominator factors: q - 1, q + 1, q^2 + q + 1, q, 2q - 3, q^2 + 1
+_SHARED = ([-1, 1], [1, 1], [1, 1, 1], [0, 1], [-3, 2], [1, 0, 1])
+
+
+def test_sums_equal_the_normalizing_constructor():
+    rng = random.Random(41)
+    pairs = []
+    for _ in range(60):
+        f, k = rand_scalar(rng), rand_scalar(rng)
+        g = rng.choice(_SHARED)
+        a = ExactScalar(1, f.c, f.num, pmul(f.den, g))
+        b = ExactScalar(1, k.c, k.num, pmul(k.den, g))
+        # t - a by cross-multiplication: a + (t - a) = t has no g left,
+        # so the shared factor cancels against the numerator
+        t = ExactScalar(1, k.c, k.num, f.den)
+        pairs += [(f, k), (a, b), (a, ExactScalar(1, k.c, k.num, a.den)),
+                  (a, _sum_by_constructor(t, a, -1)), (a, a),
+                  (a, ExactScalar.from_fraction(k.c))]
+    seen = set()
+    for x, y in pairs:
+        g = pgcd(x.den, y.den)
+        if x.den == y.den and len(x.den) > 1:
+            seen.add("equal denominators")
+        if y.is_rational():
+            seen.add("rational operand")
+        for sign, got in ((1, x + y), (-1, x - y)):
+            want = _sum_by_constructor(x, y, sign)
+            assert _parts(got) == _parts(want)
+            assert type(got.c) is Fraction
+            assert type(got.num) is tuple and type(got.den) is tuple
+            assert hash(got) == hash(want)
+            assert got == want
+            if want.is_zero():
+                seen.add("zero")
+            elif len(g) == 1:
+                seen.add("coprime")
+            elif len(want.den) < len(x.den) + len(y.den) - len(g):
+                seen.add("shared, cancels")    # below the lcm: h != 1
+            else:
+                seen.add("shared, h = 1")
+    assert seen == {"coprime", "shared, h = 1", "shared, cancels",
+                    "equal denominators", "zero", "rational operand"}
+    # a Fraction or int operand is the rational scalar it coerces to
+    for x, y in pairs[:60]:
+        r = y.c
+        assert _parts(x + r) == _parts(x + ExactScalar.from_fraction(r))
+        assert _parts(x - 2) == _parts(x + ExactScalar.from_int(-2))
+
+
+def test_sums_never_take_a_gcd_against_the_product_denominator(monkeypatch):
+    # a sum reduces against g = gcd(D1, D2); with numerators of degree at
+    # most 1 and deg g >= 1, every operand it hands pgcd (D1, D2, g and
+    # the new numerator) is shorter than D1*D2
+    rng = random.Random(43)
+    pairs = []
+    while len(pairs) < 80:
+        x, y = (ExactScalar(1, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
+                            [rng.randint(-3, 3) or 1, rng.randint(-3, 3)],
+                            pmul(rand_scalar(rng).den, rng.choice(_SHARED)))
+                for _ in range(2))
+        if len(pgcd(x.den, y.den)) > 1:
+            pairs.append((x, y))
+    seen = []
+    real = exactscalar.kernel.pgcd
+
+    def spy(a, b):
+        seen.append(max(len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(exactscalar.kernel, "pgcd", spy)
+    for x, y in pairs:
+        longest = len(x.den) + len(y.den) - 1
+        del seen[:]
+        x + y
+        x - y
+        assert seen and max(seen) < longest
