@@ -49,17 +49,6 @@ def padd(a, b):
     return pnorm(out)
 
 
-def psub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i in range(len(b)):
-        out[i] -= b[i]
-    return pnorm(out)
-
-
-def pneg(a):
-    return [-c for c in a]
-
-
 def pmul(a, b):
     if not a or not b:
         return []

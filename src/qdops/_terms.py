@@ -8,8 +8,9 @@ one level deep, and `product` multiplies two plain maps whose keys add
 with `+`.
 
 `TermMap` is the base of the six term-map classes: it writes zero, the
-sum, the negative, the difference, the scalar multiple, equality and the
-hash once, each result built by the subclass's own constructor.
+sum, the negative, the difference, the scalar multiple, equality, the
+hash and the repr once, each result built by the subclass's own
+constructor.
 """
 
 from itertools import chain
@@ -117,3 +118,6 @@ class TermMap:
 
     def __hash__(self):
         return hash((self._header(), frozenset(getattr(self, self._map))))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"

@@ -2,16 +2,17 @@
 
 A scalar is kept as  c * N/D  with c a rational number and N, D primitive
 integer-coefficient polynomials, gcd(N, D) = 1, both with positive leading
-coefficient.  In several variables N and D are sparse maps, and D is a
-product of polynomials in one q_v each: `inverse`, the only operation that
-turns a numerator into a denominator, raises DomainMismatch on a divisor
-with a factor in several variables such as q1 + q2, and sums and products
-keep that shape.  One rule then reduces N/D to lowest terms: for each
-variable q_v, the gcd of the q_v-contents of N and D (the gcds of their
-coefficients read as polynomials in q_v) is divided out.  Every common
-factor of N and D divides D, so it lives in a single q_v and is cancelled
-there.  The triple is therefore canonical in every arity, and equality,
-hashing and inversion are structural.
+coefficient.  In one variable N and D are dense tuples; in several they
+are sparse maps, and D is a product of polynomials in one q_v each:
+`inverse`, the only operation that turns a numerator into a denominator,
+raises DomainMismatch on a divisor with a factor in several variables
+such as q1 + q2, and sums and products keep that shape.  One rule then
+reduces N/D to lowest terms in every arity: for each variable q_v, the
+gcd of the q_v-contents of N and D (the gcds of their coefficients read
+as polynomials in q_v) is divided out.  Every common factor of N and D
+divides D, so it lives in a single q_v and is cancelled there; in one
+variable the rule is gcd(N, D).  The triple is therefore canonical in
+every arity, and equality, hashing and inversion are structural.
 
 In one variable, products and sums build their result in canonical form
 without the normalizing constructor.  A product cross-cancels N1 against
@@ -23,7 +24,10 @@ Every gcd is then taken against a factor of D1 or D2, never against the
 product D1*D2.
 
 `truncate` maps a scalar with no pole at q = 1 into Q[t]/(t^n) via
-q = 1 + t; `valuation_at_1` is the (q-1)-adic valuation that guards it.
+q = 1 + t.  Both read N(1+t) and D(1+t), integer Taylor shifts: the
+(q-1)-adic valuation `valuation_at_1` is the difference of their orders
+in t, and the truncation divides the shared power of t out of both and
+multiplies N(1+t) by the series inverse of D(1+t).
 """
 
 from __future__ import annotations
@@ -145,34 +149,19 @@ class ExactScalar:
 
     def __init__(self, nvars, c, num, den):
         # callers go through the factory helpers; this normalizes (in
-        # several variables, den must be a product of univariate factors)
+        # several variables, den must be a product of univariate factors).
+        # A dense one-variable tuple is read as the map {(i,): coefficient}
+        # and written back at the end, so one rule serves every arity: at
+        # n = 1 it divides out gcd(N, D).
         self.nvars = nvars
         if nvars == 1:
-            num, den = kernel.pnorm(list(num)), kernel.pnorm(list(den))
-        else:
-            num, den = _mnorm(num), _mnorm(den)
+            num, den = ({(i,): x for i, x in enumerate(p)} for p in (num, den))
+        num, den = _mnorm(num), _mnorm(den)
         if not den:
             raise DivisionByZero("zero denominator")
         if not num or c == 0:
-            one = _ONE if nvars == 1 else {(0,) * nvars: 1}
-            self.c, self.num, self.den = Fraction(0), one, one
-            return
-        if nvars == 1:
-            cn, cd = kernel.pcontent(num), kernel.pcontent(den)
-            c = Fraction(c) * Fraction(cn, cd)
-            num = [x // cn for x in num]
-            den = [x // cd for x in den]
-            g = kernel.pgcd(num, den)
-            if len(g) > 1 or g[0] != 1:
-                num = kernel.pdiv_exact(num, g)
-                den = kernel.pdiv_exact(den, g)
-            if den[-1] < 0:
-                den = [-x for x in den]
-                num = [-x for x in num]
-            if num[-1] < 0:
-                num = [-x for x in num]
-                c = -c
-            self.c, self.num, self.den = c, tuple(num), tuple(den)
+            c, num = Fraction(0), {(0,) * nvars: 1}
+            den = num
         else:
             cn, cd = kernel.pcontent(num.values()), kernel.pcontent(den.values())
             c = Fraction(c) * Fraction(cn, cd)
@@ -192,7 +181,10 @@ class ExactScalar:
                 den, c = _mscale(den, -1), -c
             if _mlead(num) < 0:
                 num, c = _mscale(num, -1), -c
-            self.c, self.num, self.den = c, num, den
+        if nvars == 1:
+            num, den = (tuple(p.get((i,), 0) for i in range(max(p)[0] + 1))
+                        for p in (num, den))
+        self.c, self.num, self.den = c, num, den
 
     @staticmethod
     def _canonical(nvars, c, num, den):
@@ -394,7 +386,7 @@ class ExactScalar:
             raise DomainMismatch("valuation_at_1 is defined for one variable")
         if self.c == 0:
             return math.inf
-        return _val1(self.num) - _val1(self.den)
+        return _order(_sub1t(self.num)) - _order(_sub1t(self.den))
 
     def truncate(self, n):
         """Image in Q[t]/(t^n) under q = 1+t.  Raises NotIntegralAtOne."""
@@ -404,19 +396,14 @@ class ExactScalar:
             raise DomainMismatch(f"truncation level must be at least 1, got {n}")
         if self.c == 0:
             return TruncatedScalar.zero(n)
-        if self.valuation_at_1() < 0:
-            raise NotIntegralAtOne(f"pole of order {-self.valuation_at_1()} at q=1")
-        nt = _sub1t(self.num)
-        dt = _sub1t(self.den)
-        v = next(i for i, c in enumerate(dt) if c)
-        nt, dt = nt[v:], dt[v:]
-        inv = _series_invert(dt, n)
-        coeffs = [Fraction(0)] * n
-        for i, cn in enumerate(nt[:n]):
-            if cn:
-                for j in range(n - i):
-                    coeffs[i + j] += cn * inv[j]
-        return TruncatedScalar(n, tuple(self.c * x for x in coeffs))
+        nt, dt = _sub1t(self.num), _sub1t(self.den)
+        vn, vd = _order(nt), _order(dt)
+        if vn < vd:
+            raise NotIntegralAtOne(f"pole of order {vd - vn} at q=1")
+        # N(1+t) and D(1+t) share the factor t^vd; divide it out of both
+        num = [self.c * x for x in nt[vd:vd + n]]
+        return (TruncatedScalar(n, num + [0] * (n - len(num)))
+                * TruncatedScalar(n, _series_invert(dt[vd:], n)))
 
     # -- display -------------------------------------------------------------
 
@@ -428,39 +415,22 @@ class ExactScalar:
         return scalar_str(self)
 
 
-def _val1(p):
-    """Multiplicity of the root q = 1 of an integer polynomial."""
-    p = list(p)
-    v = 0
-    while True:
-        if sum(p) != 0:
-            return v
-        # synthetic division by (q - 1)
-        out = [0] * (len(p) - 1)
-        acc = 0
-        for i in range(len(p) - 1, 0, -1):
-            acc += p[i]
-            out[i - 1] = acc
-        p = out
-        v += 1
-        if not p:
-            return v
-
-
 def _sub1t(p):
-    """p(1+t) as a Fraction-coefficient list (Horner with shift-add)."""
+    """p(1+t) for an integer polynomial p, by Horner's rule in place:
+    out := out * (1+t) + c from the leading coefficient down."""
     out = []
     for c in reversed(p):
-        # out := out * (1+t) + c
-        nxt = [Fraction(0)] * (len(out) + 1)
-        for i, x in enumerate(out):
-            nxt[i] += x
-            nxt[i + 1] += x
-        nxt[0] += c
-        out = nxt
-    while out and out[-1] == 0:
-        out.pop()
+        out.append(0)
+        for i in range(len(out) - 1, 0, -1):
+            out[i] += out[i - 1]
+        out[0] += c
     return out
+
+
+def _order(p):
+    """The index of the first nonzero coefficient of a nonzero p: at
+    p = P(1+t), the multiplicity of the root q = 1 of P."""
+    return next(i for i, c in enumerate(p) if c)
 
 
 def _series_invert(d, n):

@@ -9,7 +9,5 @@ from ._polykernel_py import (
     pgcd,
     pmul,
     pmul_int,
-    pneg,
     pnorm,
-    psub,
 )

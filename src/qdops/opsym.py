@@ -145,9 +145,6 @@ class Symbol(TermMap):
     def is_m_free(self):
         return all(all(j == 0 for j in jv) for (_, jv) in self.coeffs)
 
-    def __repr__(self):
-        return f"Symbol({self})"
-
     def __str__(self):
         from .render import symbol_str
         return symbol_str(self)
@@ -234,9 +231,6 @@ class GradedOperator(TermMap):
                         if not s.subst_shift(m, at=v).is_zero():
                             return False
         return True
-
-    def __repr__(self):
-        return f"GradedOperator({self})"
 
     def __str__(self):
         from .render import operator_str
@@ -452,9 +446,6 @@ class TruncatedOperator(TermMap):
 
     def max_m_degree(self):
         return max((max(f) for f in self.parts.values()), default=0)
-
-    def __repr__(self):
-        return f"TruncatedOperator({self})"
 
     def __str__(self):
         from .render import truncated_operator_str

@@ -113,9 +113,6 @@ class RingElement(TermMap):
             (tuple(a + b for a, b in zip(e1, e2)) if polyn else e1 + e2, c1 * c2)
             for e1, c1 in self.terms.items() for e2, c2 in o.terms.items()))
 
-    def __repr__(self):
-        return f"RingElement({self})"
-
     def __str__(self):
         from .render import ring_element_str
         return ring_element_str(self)
@@ -160,9 +157,6 @@ class PlaneElement(TermMap):
             ((a1 + a2, b1 + b2), c1 * c2 * ExactScalar.q_power(-a2 * b1))
             for (a1, b1), c1 in self.terms.items()
             for (a2, b2), c2 in o.terms.items())
-
-    def __repr__(self):
-        return f"PlaneElement({self})"
 
     def __str__(self):
         from .render import plane_element_str

@@ -164,9 +164,6 @@ class ShapeForm(TermMap):
     def __str__(self):
         return opexpr.expr_str(self.to_expr())
 
-    def __repr__(self):
-        return f"ShapeForm({self})"
-
 
 _X = ShapeForm.of_term(0, {1: 1}, ())
 _ONE_SHAPE = ShapeForm.of_term(0, {0: 1}, ())

@@ -30,19 +30,15 @@ from . import qgroup
 class CheckResult:
     """One named identity (or identity family) inside a suite."""
 
-    __slots__ = ("label", "passed", "cases", "detail")
+    __slots__ = ("label", "passed", "cases")
 
-    def __init__(self, label, passed, cases=1, detail=""):
+    def __init__(self, label, passed, cases=1):
         self.label = label
         self.passed = bool(passed)
         self.cases = int(cases)
-        self.detail = detail
 
     def as_dict(self):
-        d = {"label": self.label, "passed": self.passed, "cases": self.cases}
-        if self.detail:
-            d["detail"] = self.detail
-        return d
+        return {"label": self.label, "passed": self.passed, "cases": self.cases}
 
 
 class SuiteReport:
@@ -68,8 +64,6 @@ class SuiteReport:
             mark = "PASS" if c.passed else "FAIL"
             line = f"  [{mark}] {c.label} ({c.cases} case"
             line += "s)" if c.cases != 1 else ")"
-            if c.detail:
-                line += f" -- {c.detail}"
             out.append(line)
         out.append(f"verdict: {'PASS' if self.passed else 'FAIL'} "
                    f"({self.total_cases} cases)")
@@ -571,23 +565,25 @@ def _suite_eta1_surjectivity(md, cases, seed):
 # registry
 # ---------------------------------------------------------------------------
 
-# name -> (battery, default max_degree, default cases, default seed)
+DEFAULT_SEED = 0
+
+# name -> (battery, default max_degree, default cases)
 _SUITES = {
-    "note-identities": (_suite_note_identities, 5, 0, 0),
-    "intrinsic-relations": (_suite_intrinsic_relations, 3, 500, 0),
-    "d0-commutative": (_suite_d0_commutative, 4, 200, 0),
-    "domain-sample": (_suite_domain_sample, 4, 200, 0),
-    "qcenter": (_suite_qcenter, 4, 100, 0),
-    "immediate-formulae": (_suite_immediate_formulae, 2, 0, 0),
-    "nvariables": (_suite_nvariables, 2, 6, 0),
-    "integrate-exhaustive": (_suite_integrate_exhaustive, 3, 100, 0),
-    "simplicity-random": (_suite_simplicity_random, 3, 200, 0),
-    "gamma-generators": (_suite_gamma_generators, 0, 0, 0),
-    "uq-relations": (_suite_uq_relations, 6, 0, 0),
-    "uq-plane-consistency": (_suite_uq_plane_consistency, 4, 0, 0),
-    "nonsurjectivity": (_suite_nonsurjectivity, 6, 100, 0),
-    "truncation": (_suite_truncation, 0, 100, 0),
-    "eta1-surjectivity": (_suite_eta1_surjectivity, 5, 0, 0),
+    "note-identities": (_suite_note_identities, 5, 0),
+    "intrinsic-relations": (_suite_intrinsic_relations, 3, 500),
+    "d0-commutative": (_suite_d0_commutative, 4, 200),
+    "domain-sample": (_suite_domain_sample, 4, 200),
+    "qcenter": (_suite_qcenter, 4, 100),
+    "immediate-formulae": (_suite_immediate_formulae, 2, 0),
+    "nvariables": (_suite_nvariables, 2, 6),
+    "integrate-exhaustive": (_suite_integrate_exhaustive, 3, 100),
+    "simplicity-random": (_suite_simplicity_random, 3, 200),
+    "gamma-generators": (_suite_gamma_generators, 0, 0),
+    "uq-relations": (_suite_uq_relations, 6, 0),
+    "uq-plane-consistency": (_suite_uq_plane_consistency, 4, 0),
+    "nonsurjectivity": (_suite_nonsurjectivity, 6, 100),
+    "truncation": (_suite_truncation, 0, 100),
+    "eta1-surjectivity": (_suite_eta1_surjectivity, 5, 0),
 }
 
 
@@ -598,13 +594,13 @@ def suite_names():
 def verify_suite(name, max_degree=None, cases=None, seed=None):
     """Run the named battery; all checks are exact."""
     try:
-        fn, d_md, d_cases, d_seed = _SUITES[name]
+        fn, d_md, d_cases = _SUITES[name]
     except KeyError:
         raise UnknownSuite(f"unknown suite {name!r}; known: "
                            + ", ".join(suite_names())) from None
     md = d_md if max_degree is None else int(max_degree)
     cs = d_cases if cases is None else int(cases)
-    sd = d_seed if seed is None else int(seed)
+    sd = DEFAULT_SEED if seed is None else int(seed)
     checks = fn(md, cs, sd)
     return SuiteReport(name, {"max_degree": md, "cases": cs, "seed": sd},
                        checks)

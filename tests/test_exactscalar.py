@@ -1,5 +1,6 @@
 """Field arithmetic against a sympy oracle plus axiom properties."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qdops import exactscalar
 from qdops.exactscalar import (ExactScalar, scalar, q_number, q_factorial,
                                TruncatedScalar)
-from qdops.errors import DivisionByZero, DomainMismatch
+from qdops.errors import DivisionByZero, DomainMismatch, NotIntegralAtOne
 from qdops.kernel import padd, pgcd, pmul, pmul_int
 
 q = sympy.Symbol("q")
@@ -402,3 +403,137 @@ def test_sums_never_take_a_gcd_against_the_product_denominator(monkeypatch):
         x + y
         x - y
         assert seen and max(seen) < longest
+
+
+# the one-variable normalizing constructor, the valuation at q = 1 and the
+# truncation, each against sympy on N/D that share powers of q - 1,
+# cyclotomic factors and q, with integer contents and negative leads
+
+t = sympy.Symbol("t")
+_CYCLOTOMIC = ([1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1], [1, 1, 1, 1, 1])
+
+
+def _power(p, k):
+    out = [1]
+    for _ in range(k):
+        out = pmul(out, p)
+    return out
+
+
+def _rand_poly(rng):
+    while True:
+        p = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        if p[-1]:
+            return p
+
+
+def rand_fraction(rng):
+    """(c, N, D, kind): dense N and D sharing (q-1)^k and other factors,
+    each times an integer content; D general, a monomial or a constant."""
+    kind = rng.choice(("general", "general", "monomial", "constant"))
+    shared = _power([-1, 1], rng.randint(0, 3))
+    for f in rng.sample(_CYCLOTOMIC + ([0, 1],), rng.randint(0, 2)):
+        shared = pmul(shared, f)
+    num = pmul(pmul(shared, _power([-1, 1], rng.randint(0, 2))), _rand_poly(rng))
+    if kind == "general":
+        den = pmul(pmul(shared, _power([-1, 1], rng.randint(0, 3))), _rand_poly(rng))
+    elif kind == "monomial":
+        den = [0] * rng.randint(1, 3) + [rng.choice([-2, 1, 3])]
+    else:
+        den = [rng.choice([-4, -1, 1, 6])]
+    num = pmul_int(num, rng.choice([1, -1, 2, -6]))
+    den = pmul_int(den, rng.choice([1, -1, 3, -4]))
+    return Fraction(rng.choice([-5, -1, 1, 2]), rng.randint(1, 3)), num, den, kind
+
+
+def _expr(c, num, den):
+    return (sympy.Rational(c.numerator, c.denominator)
+            * sympy.Poly(num[::-1], q).as_expr() / sympy.Poly(den[::-1], q).as_expr())
+
+
+def sympy_parts(expr):
+    """(c, N, D) of a rational function of q in lowest terms, N and D
+    primitive and lead positive, as dense coefficient tuples."""
+    n, d = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    if n == 0:
+        return Fraction(0), (1,), (1,)
+    c, parts = Fraction(1), []
+    for p in (n, d):
+        cont, prim = sympy.Poly(p, q).primitive()
+        coeffs = [int(x) for x in prim.all_coeffs()[::-1]]
+        if coeffs[-1] < 0:
+            cont, coeffs = -cont, [-x for x in coeffs]
+        parts.append(tuple(coeffs))
+        cont = Fraction(int(sympy.numer(cont)), int(sympy.denom(cont)))
+        c = c * cont if len(parts) == 1 else c / cont
+    return c, parts[0], parts[1]
+
+
+def test_one_variable_constructor_matches_sympy():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(150):
+        c, num, den, kind = rand_fraction(rng)
+        s = ExactScalar(1, c, num, den)
+        want = sympy_parts(_expr(c, num, den))
+        assert _parts(s) == want
+        assert type(s.c) is Fraction
+        assert type(s.num) is tuple and type(s.den) is tuple
+        for p in (s.num, s.den):
+            assert p[-1] > 0 and math.gcd(*p) == 1
+        assert sympy.gcd(sympy.Poly(s.num[::-1], q), sympy.Poly(s.den[::-1], q)) == 1
+        assert sympy.cancel(_expr(s.c, s.num, s.den) - _expr(c, num, den)) == 0
+        seen.add(kind)
+        if num[-1] < 0 or den[-1] < 0:
+            seen.add("negative lead")
+        if len(s.den) < len(den):
+            seen.add("common factor cancelled")
+        if math.gcd(*num) > 1:
+            seen.add("content")
+    assert seen == {"general", "monomial", "constant", "negative lead",
+                    "common factor cancelled", "content"}
+
+
+def root_1_multiplicity(expr):
+    """Multiplicity of q = 1 as a root of the numerator, less that of the
+    denominator, from sympy's factorization."""
+    n, d = sympy.fraction(sympy.cancel(expr))
+    return sum(k if f == q - 1 else 0
+               for f, k in sympy.factor_list(n, q)[1]) - sum(
+        k if f == q - 1 else 0 for f, k in sympy.factor_list(d, q)[1])
+
+
+def test_valuation_at_1_is_the_multiplicity_of_the_root_1():
+    rng = random.Random(59)
+    orders = set()
+    for _ in range(120):
+        c, num, den, _ = rand_fraction(rng)
+        s = ExactScalar(1, c, num, den)
+        if s.is_zero():
+            assert s.valuation_at_1() == math.inf
+            continue
+        v = root_1_multiplicity(_expr(c, num, den))
+        assert s.valuation_at_1() == v
+        orders.add(v)
+        if v < 0:
+            with pytest.raises(NotIntegralAtOne, match=rf"^pole of order {-v} at q=1$"):
+                s.truncate(3)
+    assert {-2, -1, 0, 1, 2} <= orders
+
+
+def test_truncate_matches_the_series_at_q_equal_1():
+    rng = random.Random(61)
+    done = 0
+    while done < 40:
+        c, num, den, _ = rand_fraction(rng)
+        s = ExactScalar(1, c, num, den)
+        if s.valuation_at_1() < 0:
+            continue
+        n = rng.randint(1, 6)
+        f = sympy.cancel(_expr(c, num, den).subs(q, 1 + t))
+        series = sympy.series(f, t, 0, n).removeO()
+        poly = sympy.Poly(series, t)
+        want = tuple(Fraction(int(sympy.numer(x)), int(sympy.denom(x)))
+                     for x in (poly.coeff_monomial(t**k) for k in range(n)))
+        assert s.truncate(n).coeffs == want
+        done += 1

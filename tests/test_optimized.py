@@ -37,6 +37,11 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+# modules that import names only to re-export them: an import there is
+# not a read, or a dead function would stay alive through its re-export
+_REEXPORTS = ("__init__.py", "kernel.py")
+
+
 def _unread_imports(path):
     tree = ast.parse(path.read_text())
     bound = {}
@@ -53,9 +58,8 @@ def _unread_imports(path):
 
 
 def test_every_imported_name_is_read():
-    # __init__ and kernel import names only to re-export them
     found = [hit for p in sorted((SRC / "qdops").glob("*.py"))
-             if p.name not in ("__init__.py", "kernel.py")
+             if p.name not in _REEXPORTS
              for hit in _unread_imports(p)]
     assert found == []
 
@@ -64,7 +68,8 @@ def _reads(path, strings):
     """(name, whether the read can reach a method) for the names a file
     reads: loaded names, which reach a method only when loaded directly in
     a class body (an alias such as `__radd__ = __add__`), loaded
-    attributes, imported names and, with `strings`, string constants."""
+    attributes, imported names outside `_REEXPORTS` and, with `strings`,
+    string constants."""
     tree = ast.parse(path.read_text())
     in_class = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                 for stmt in c.body
@@ -76,7 +81,7 @@ def _reads(path, strings):
             yield node.id, id(node) in in_class
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, True
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and path.name not in _REEXPORTS:
             yield node.name.split(".")[-1], False
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
