@@ -37,8 +37,17 @@ from .shapes import ShapeForm, shape_normalize
 # the nodes integrate built: words under (word, b), pieces under (t, b, a)
 _int_cache = {}
 
-# the most node values on POLY_X that verify_integration keeps
-INT_VALUE_CACHE_SIZE = 1152
+# the most node values on POLY_X that verify_integration keeps.  One
+# integrate-verify pass (every word of length <= 3 at b = -3..3 and 100
+# words of length 4) builds up to 2,574 nodes; 3072 holds all of them with
+# 20% to spare, and since the kept values share their parts (`_IntValues`)
+# a whole pass takes less memory than 1152 unshared values did
+INT_VALUE_CACHE_SIZE = 3072
+
+# the most nodes integrate keeps: a top-level call that finds more starts
+# the dag, the memo and its table afresh.  A pass builds 2,574 nodes,
+# criterion 6 2,586 and the whole test suite in one process 2,823
+INT_DAG_SIZE = 8192
 
 
 class _IntValues(OrderedDict):
@@ -47,11 +56,25 @@ class _IntValues(OrderedDict):
     recently used first: the `known` memo of `opexpr._fold`.  The
     antiderivative of a word is a sum of pieces, each built from that of
     a shorter word and shared by the word's rotations, so verifying it
-    reuses their values."""
+    reuses their values.
+
+    A pass holds tens of thousands of scalars, polynomials and symbol
+    keys in its values but few distinct ones (3,896 polynomials and 55
+    keys among 34,952 and 17,476 references), so `keep` stores each value
+    rebuilt from shared parts: every shift, symbol key, scalar, `Fraction`
+    and num/den tuple becomes the first equal one kept, found in the table
+    `parts` (hash-consing).  The parts are immutable, so sharing them
+    changes no result.  The table is emptied with the memo, and once it
+    holds more than 8 entries per memo slot (a pass needs about 5)."""
 
     def __init__(self):
         super().__init__()
         self.nodes = set()      # every word and piece integrate built
+        self.parts = {}         # the first kept copy of each equal part
+
+    def clear(self):
+        super().clear()
+        self.parts.clear()
 
     def get(self, e):
         v = super().get(e)
@@ -61,9 +84,30 @@ class _IntValues(OrderedDict):
 
     def keep(self, e, value):
         if e in self.nodes:
-            self[e] = value
+            self[e] = self._operator(value)
+            if len(self.parts) > 8 * INT_VALUE_CACHE_SIZE:
+                self.parts.clear()
             if len(self) > INT_VALUE_CACHE_SIZE:
                 self.popitem(last=False)
+
+    def _share(self, x):
+        """The first kept part equal to x, or x itself, kept from now on.
+        A scalar can equal a Fraction, so only a hit of x's type counts."""
+        hit = self.parts.setdefault(x, x)
+        return hit if type(hit) is type(x) else x
+
+    def _scalar(self, c):
+        # on POLY_X, N and D are tuples
+        share = self._share
+        return share(ExactScalar._canonical(c.nvars, share(c.c),
+                                            share(c.num), share(c.den)))
+
+    def _operator(self, op):
+        share, scalar = self._share, self._scalar
+        return GradedOperator(op.domain, (
+            (share(e), Symbol(s.nvars, ((share(k), scalar(c))
+                                        for k, c in s.coeffs.items())))
+            for e, s in op.parts.items()))
 
 
 _int_value_cache = _IntValues()
@@ -82,7 +126,7 @@ def _piece(t, b, a):
     key = (t, b, a)
     hit = _int_cache.get(key)
     if hit is None:
-        T, d = integrate(t, b), EGen("D", a)
+        T, d = _integrate(t, b), EGen("D", a)
         rhs = EMul(d, T)
         w = (len(t) + 1) * a
         if w:
@@ -94,8 +138,16 @@ def _piece(t, b, a):
 
 def integrate(word, b=0):
     """Q with eval([Q, x]) = eval(D[a_n]*...*D[a_1]*s[b]), exactly."""
-    word = tuple(int(a) for a in word)
-    b = int(b)
+    if len(_int_cache) > INT_DAG_SIZE:
+        # only here, between top-level calls: the words and pieces one
+        # call builds keep sharing their pieces
+        _int_cache.clear()
+        _int_value_cache.nodes.clear()
+        _int_value_cache.clear()
+    return _integrate(tuple(int(a) for a in word), int(b))
+
+
+def _integrate(word, b):
     key = (word, b)
     hit = _int_cache.get(key)
     if hit is not None:
@@ -112,7 +164,7 @@ def integrate(word, b=0):
             i for i in range(1, n + 1) if word[i - 1] != 0)
         a = word[j - 1]
         flipped = word[:j - 1] + (-a,) + word[j:]
-        inner = integrate(flipped, b + a)
+        inner = _integrate(flipped, b + a)
         # s[a] passes the flipped factor and the j-1 letters right of it
         mult = -a * j
         out = EMul(ENum(_qp(mult)), inner) if mult else inner

@@ -1,5 +1,6 @@
 """Bracket antiderivatives and the simplicity reduction."""
 
+import collections
 import hashlib
 import itertools
 import random
@@ -151,6 +152,103 @@ def test_memo_entries_equal_fresh_evaluation_after_a_shuffled_sweep():
     assert any(id(e) in pieces for e in memo)
     for e, value in list(memo.items()):
         assert equals(value, evaluate(e))
+
+
+def _sweep():
+    """Criterion 6's words: every word of length <= 3 at b = -3..3."""
+    return [(w, b) for n in range(4)
+            for w in itertools.product(range(-2, 3), repeat=n)
+            for b in range(-3, 4)]
+
+
+def test_each_node_value_is_computed_once_over_a_sweep(monkeypatch):
+    memo = algorithms._int_value_cache
+    memo.clear()
+    kept = collections.Counter()
+    keep = memo.keep
+
+    def counting_keep(e, value):
+        if e in memo.nodes:
+            kept[id(e)] += 1
+        keep(e, value)
+
+    monkeypatch.setattr(memo, "keep", counting_keep)
+    for word, b in _sweep():
+        _, ok = verify_integration(word, b)
+        assert ok, (word, b)
+    assert kept and max(kept.values()) == 1
+
+
+def test_kept_values_share_their_parts():
+    memo = algorithms._int_value_cache
+    memo.clear()
+    for word, b in _sweep():
+        verify_integration(word, b)
+    first, refs = {}, 0
+    for value in memo.values():
+        for e, s in value.parts.items():
+            parts = [e]
+            for k, c in s.coeffs.items():
+                parts += [k, c, c.c, c.num, c.den]
+            refs += len(parts)
+            for x in parts:
+                # an equal part of the same type is the same object
+                assert first.setdefault((type(x), x), x) is x
+    assert refs > 4 * len(first)
+
+
+def test_clear_empties_the_table():
+    memo = algorithms._int_value_cache
+    verify_integration((1, -2, 2), 1)
+    assert memo.parts
+    memo.clear()
+    assert not memo and not memo.parts
+
+
+def test_table_holds_at_most_eight_parts_per_slot(monkeypatch):
+    size = 12
+    monkeypatch.setattr(algorithms, "INT_VALUE_CACHE_SIZE", size)
+    memo = algorithms._int_value_cache
+    memo.clear()
+    keep = memo.keep
+    most = [0]
+
+    def checked_keep(e, value):
+        keep(e, value)
+        most[0] = max(most[0], len(memo.parts))
+        assert len(memo.parts) <= 8 * size
+
+    monkeypatch.setattr(memo, "keep", checked_keep)
+    for word, b in _memo_cases()[:80]:
+        _, ok = verify_integration(word, b)
+        assert ok, (word, b)
+    assert most[0] > 4 * size
+
+
+def test_dag_bound_starts_afresh_between_calls(monkeypatch):
+    cases = _memo_cases()[:120]
+    want = [expr_str(integrate(w, b)) for w, b in cases]
+    # the most nodes one call builds, with every call starting afresh
+    monkeypatch.setattr(algorithms, "INT_DAG_SIZE", -1)
+    largest = 0
+    for (w, b), text in zip(cases, want):
+        assert expr_str(integrate(w, b)) == text
+        largest = max(largest, len(algorithms._int_cache))
+    bound = 40
+    monkeypatch.setattr(algorithms, "INT_DAG_SIZE", bound)
+    memo = algorithms._int_value_cache
+    fresh_starts = 0
+    for (w, b), text in zip(cases, want):
+        before = len(algorithms._int_cache)
+        Q, ok = verify_integration(w, b)
+        assert ok, (w, b)
+        assert expr_str(Q) == text
+        after = len(algorithms._int_cache)
+        fresh_starts += before > bound
+        assert after <= bound + largest
+        assert len(memo.nodes) <= after
+        assert set(map(id, memo)) <= set(map(id, memo.nodes))
+    assert fresh_starts > 1
 
 
 def test_printed_answers_stay_the_same():
