@@ -7,8 +7,6 @@ to 1 by left multiplications, brackets and a final scale.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from .errors import CompatibilityViolation, EngineError, ZeroOperator
 from .exactscalar import ExactScalar
 from .opexpr import (
@@ -34,29 +32,26 @@ from .shapes import ShapeForm, shape_normalize
 # A word (a_1, ..., a_n) encodes the product P = D[a_n] ... D[a_1]
 # (a_1 is the rightmost factor).  integrate returns Q with [Q, x] = P s[b].
 
-# the nodes integrate built: words under (word, b), pieces under (t, b, a)
-_int_cache = {}
-
-# the most node values on POLY_X that verify_integration keeps.  One
-# integrate-verify pass (every word of length <= 3 at b = -3..3 and 100
-# words of length 4) builds up to 2,574 nodes; 3072 holds all of them with
-# 20% to spare, and since the kept values share their parts (`_IntValues`)
-# a whole pass takes less memory than 1152 unshared values did
-INT_VALUE_CACHE_SIZE = 3072
-
 # the most nodes integrate keeps: a top-level call that finds more starts
-# the dag, the memo and its table afresh.  A pass builds 2,574 nodes,
-# criterion 6 2,586 and the whole test suite in one process 2,823
-INT_DAG_SIZE = 8192
+# the dag, its values and their parts afresh.  A node with its value takes
+# about 2.3 kB, so the bound holds the whole state under 12 MB.  One
+# integrate-verify pass builds up to 2,574 nodes and each further pass with
+# new length-4 words about 400 more (5,097 after 8), so repeated passes stay
+# in one dag; a bound they reached soon would make every other pass
+# evaluate afresh.  Criterion 6 builds 2,586 nodes
+INT_DAG_SIZE = 5120
 
 
-class _IntValues(OrderedDict):
-    """The values on POLY_X of the nodes `integrate` built, words and
-    pieces, keyed by the node objects themselves and evicted least
-    recently used first: the `known` memo of `opexpr._fold`.  The
-    antiderivative of a word is a sum of pieces, each built from that of
-    a shorter word and shared by the word's rotations, so verifying it
-    reuses their values.
+class _IntDag(dict):
+    """The nodes `integrate` built, words and pieces, each mapped to its
+    value on POLY_X (None until `verify_integration` evaluates it): the
+    `known` memo of `opexpr._fold`, which keeps values of these nodes
+    only.  `nodes` finds a word's node under (word, b) and a piece's under
+    (t, b, a).  A value is worth keeping while its node can be reached
+    again, so nodes, values and the parts table live and are cleared
+    together.  The antiderivative of a word is a sum of pieces, each
+    built from that of a shorter word and shared by the word's rotations,
+    so verifying it reuses their values.
 
     A pass holds tens of thousands of scalars, polynomials and symbol
     keys in its values but few distinct ones (3,896 polynomials and 55
@@ -64,31 +59,26 @@ class _IntValues(OrderedDict):
     rebuilt from shared parts: every shift, symbol key, scalar, `Fraction`
     and num/den tuple becomes the first equal one kept, found in the table
     `parts` (hash-consing).  The parts are immutable, so sharing them
-    changes no result.  The table is emptied with the memo, and once it
-    holds more than 8 entries per memo slot (a pass needs about 5)."""
+    changes no result."""
 
     def __init__(self):
         super().__init__()
-        self.nodes = set()      # every word and piece integrate built
+        self.nodes = {}         # (word, b) or (t, b, a) -> node
         self.parts = {}         # the first kept copy of each equal part
 
     def clear(self):
         super().clear()
+        self.nodes.clear()
         self.parts.clear()
 
-    def get(self, e):
-        v = super().get(e)
-        if v is not None:
-            self.move_to_end(e)
-        return v
+    def add(self, key, node):
+        self.nodes[key] = node
+        self[node] = None
+        return node
 
     def keep(self, e, value):
-        if e in self.nodes:
+        if e in self:
             self[e] = self._operator(value)
-            if len(self.parts) > 8 * INT_VALUE_CACHE_SIZE:
-                self.parts.clear()
-            if len(self) > INT_VALUE_CACHE_SIZE:
-                self.popitem(last=False)
 
     def _share(self, x):
         """The first kept part equal to x, or x itself, kept from now on.
@@ -110,7 +100,7 @@ class _IntValues(OrderedDict):
             for e, s in op.parts.items()))
 
 
-_int_value_cache = _IntValues()
+_int_cache = _IntDag()
 
 
 def _qp(e):
@@ -120,19 +110,18 @@ def _qp(e):
 def _piece(t, b, a):
     """[T, D[a]]_k = T D[a] - q^{-k} D[a] T with T = integrate(t, b) and
     k = -(len(t) + 1) a: the piece of the cyclic decomposition that every
-    rotation of the word (a,) + t shares.  It is built once, kept in
-    `_int_cache` under the key (t, b, a), and its value goes to the memo
+    rotation of the word (a,) + t shares.  It is built once and added to
+    `_int_cache` under the key (t, b, a), so verification keeps its value
     like a word's."""
     key = (t, b, a)
-    hit = _int_cache.get(key)
+    hit = _int_cache.nodes.get(key)
     if hit is None:
         T, d = _integrate(t, b), EGen("D", a)
         rhs = EMul(d, T)
         w = (len(t) + 1) * a
         if w:
             rhs = EMul(ENum(_qp(w)), rhs)
-        hit = _int_cache[key] = ESub(EMul(T, d), rhs)
-        _int_value_cache.nodes.add(hit)
+        hit = _int_cache.add(key, ESub(EMul(T, d), rhs))
     return hit
 
 
@@ -142,14 +131,12 @@ def integrate(word, b=0):
         # only here, between top-level calls: the words and pieces one
         # call builds keep sharing their pieces
         _int_cache.clear()
-        _int_value_cache.nodes.clear()
-        _int_value_cache.clear()
     return _integrate(tuple(int(a) for a in word), int(b))
 
 
 def _integrate(word, b):
     key = (word, b)
-    hit = _int_cache.get(key)
+    hit = _int_cache.nodes.get(key)
     if hit is not None:
         return hit
 
@@ -190,9 +177,7 @@ def _integrate(word, b):
         c = _qp(-b) * (ExactScalar.from_int(1) - _qp(n * (b + total)))
         out = EMul(ENum(c.inverse()), terms)
 
-    _int_cache[key] = out
-    _int_value_cache.nodes.add(out)
-    return out
+    return _int_cache.add(key, out)
 
 
 def problem_expr(word, b):
@@ -212,7 +197,7 @@ def verify_integration(word, b, Q=None):
     """Check [Q, x] = P s[b] by symbols; returns (Q, ok)."""
     if Q is None:
         Q = integrate(word, b)
-    lhs = evaluate(EBracket(Q, EGen("x")), POLY_X, _int_value_cache)
+    lhs = evaluate(EBracket(Q, EGen("x")), POLY_X, _int_cache)
     rhs = evaluate(problem_expr(word, b))
     return Q, equals(lhs, rhs)
 

@@ -376,6 +376,9 @@ class ExactScalar:
                 == (other.nvars, other.c, other.num, other.den))
 
     def __hash__(self):
+        # a rational scalar equals its Fraction and int, so hashes as they do
+        if self.num == self.den:
+            return hash(self.c)
         return hash((self.c, _hashable(self.num), _hashable(self.den)))
 
     # -- q = 1 + t -----------------------------------------------------------

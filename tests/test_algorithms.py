@@ -84,33 +84,33 @@ def _memo_cases():
 
 
 def test_memo_values_equal_fresh_evaluation():
-    algorithms._int_value_cache.clear()
+    memo = algorithms._int_cache
+    memo.clear()
     for word, b in _memo_cases():
         Q, ok = verify_integration(word, b)
         assert ok, (word, b)
         # the memo now holds Q's value, and reading it back through the
         # memo gives what a fold without the memo computes
         fresh = evaluate(Q)
-        assert equals(algorithms._int_value_cache[Q], fresh)
-        assert equals(evaluate(Q, POLY_X, algorithms._int_value_cache), fresh)
+        assert equals(memo[Q], fresh)
+        assert equals(evaluate(Q, POLY_X, memo), fresh)
 
 
-def test_memo_is_bounded_and_keyed_by_nodes(monkeypatch):
-    size = 30
-    monkeypatch.setattr(algorithms, "INT_VALUE_CACHE_SIZE", size)
-    memo = algorithms._int_value_cache
+def test_memo_is_keyed_by_nodes():
+    memo = algorithms._int_cache
     memo.clear()
-    cases = _memo_cases()[:2 * size]
-    for word, b in cases:
+    for word, b in _memo_cases()[:60]:
         _, ok = verify_integration(word, b)
         assert ok
-        assert len(memo) <= size
-    assert len(memo) == size
-    nodes = {id(v): v for v in algorithms._int_cache.values()}
-    for k in memo:
+        # the fold's other nodes, such as the bracket [Q, x], are not kept
+        assert len(memo) == len(memo.nodes)
+    nodes = {id(v): v for v in memo.nodes.values()}
+    for k, value in memo.items():
         assert isinstance(k, OperatorExpr) and nodes.get(id(k)) is k
-    # the most recently verified words stay
-    assert integrate(*cases[-1]) in memo
+        assert value is not None
+    x = parse("x")
+    memo.keep(x, evaluate(x))
+    assert x not in memo and len(memo) == len(nodes)
 
 
 def _reachable(root):
@@ -135,20 +135,19 @@ def test_rotations_share_their_pieces():
         for r in range(n):
             Q = integrate(word[r:] + word[:r], b)
             below = _reachable(Q)
-            pieces = {key for key, v in algorithms._int_cache.items()
+            pieces = {key for key, v in algorithms._int_cache.nodes.items()
                       if len(key) == 3 and len(key[0]) == n - 1
                       and key[1] == b and id(v) in below}
             assert pieces == want, (word, b, r)
 
 
 def test_memo_entries_equal_fresh_evaluation_after_a_shuffled_sweep():
-    algorithms._int_value_cache.clear()
+    memo = algorithms._int_cache
+    memo.clear()
     for word, b in _memo_cases():
         _, ok = verify_integration(word, b)
         assert ok, (word, b)
-    memo = algorithms._int_value_cache
-    pieces = {id(v) for key, v in algorithms._int_cache.items()
-              if len(key) == 3}
+    pieces = {id(v) for key, v in memo.nodes.items() if len(key) == 3}
     assert any(id(e) in pieces for e in memo)
     for e, value in list(memo.items()):
         assert equals(value, evaluate(e))
@@ -162,13 +161,13 @@ def _sweep():
 
 
 def test_each_node_value_is_computed_once_over_a_sweep(monkeypatch):
-    memo = algorithms._int_value_cache
+    memo = algorithms._int_cache
     memo.clear()
     kept = collections.Counter()
     keep = memo.keep
 
     def counting_keep(e, value):
-        if e in memo.nodes:
+        if e in memo:
             kept[id(e)] += 1
         keep(e, value)
 
@@ -177,14 +176,15 @@ def test_each_node_value_is_computed_once_over_a_sweep(monkeypatch):
         _, ok = verify_integration(word, b)
         assert ok, (word, b)
     assert kept and max(kept.values()) == 1
+    assert len(kept) == len(memo)
 
 
 def test_kept_values_share_their_parts():
-    memo = algorithms._int_value_cache
+    memo = algorithms._int_cache
     memo.clear()
     for word, b in _sweep():
         verify_integration(word, b)
-    first, refs = {}, 0
+    first, refs, rational = {}, 0, 0
     for value in memo.values():
         for e, s in value.parts.items():
             parts = [e]
@@ -192,63 +192,74 @@ def test_kept_values_share_their_parts():
                 parts += [k, c, c.c, c.num, c.den]
             refs += len(parts)
             for x in parts:
+                if isinstance(x, ExactScalar) and x.is_rational():
+                    # it equals and hashes as its Fraction, which holds
+                    # its place in the table
+                    rational += 1
+                    continue
                 # an equal part of the same type is the same object
                 assert first.setdefault((type(x), x), x) is x
-    assert refs > 4 * len(first)
+    assert refs > 4 * len(first) and rational < refs // 1000
 
 
 def test_clear_empties_the_table():
-    memo = algorithms._int_value_cache
+    memo = algorithms._int_cache
     verify_integration((1, -2, 2), 1)
-    assert memo.parts
+    assert memo and memo.nodes and memo.parts
     memo.clear()
-    assert not memo and not memo.parts
-
-
-def test_table_holds_at_most_eight_parts_per_slot(monkeypatch):
-    size = 12
-    monkeypatch.setattr(algorithms, "INT_VALUE_CACHE_SIZE", size)
-    memo = algorithms._int_value_cache
-    memo.clear()
-    keep = memo.keep
-    most = [0]
-
-    def checked_keep(e, value):
-        keep(e, value)
-        most[0] = max(most[0], len(memo.parts))
-        assert len(memo.parts) <= 8 * size
-
-    monkeypatch.setattr(memo, "keep", checked_keep)
-    for word, b in _memo_cases()[:80]:
-        _, ok = verify_integration(word, b)
-        assert ok, (word, b)
-    assert most[0] > 4 * size
+    assert not memo and not memo.nodes and not memo.parts
+    # the dag is built afresh, and its values kept again
+    Q, ok = verify_integration((1, -2, 2), 1)
+    assert ok and memo.nodes[((1, -2, 2), 1)] is Q and memo[Q] is not None
 
 
 def test_dag_bound_starts_afresh_between_calls(monkeypatch):
     cases = _memo_cases()[:120]
     want = [expr_str(integrate(w, b)) for w, b in cases]
-    # the most nodes one call builds, with every call starting afresh
+    # the most nodes and parts one call builds, with every call starting
+    # afresh
     monkeypatch.setattr(algorithms, "INT_DAG_SIZE", -1)
-    largest = 0
+    memo = algorithms._int_cache
+    largest = most_parts = 0
     for (w, b), text in zip(cases, want):
-        assert expr_str(integrate(w, b)) == text
-        largest = max(largest, len(algorithms._int_cache))
+        Q, ok = verify_integration(w, b)
+        assert ok and expr_str(Q) == text
+        largest = max(largest, len(memo))
+        most_parts = max(most_parts, len(memo.parts))
     bound = 40
     monkeypatch.setattr(algorithms, "INT_DAG_SIZE", bound)
-    memo = algorithms._int_value_cache
     fresh_starts = 0
     for (w, b), text in zip(cases, want):
-        before = len(algorithms._int_cache)
+        before = len(memo)
         Q, ok = verify_integration(w, b)
         assert ok, (w, b)
         assert expr_str(Q) == text
-        after = len(algorithms._int_cache)
-        fresh_starts += before > bound
+        after = len(memo)
         assert after <= bound + largest
-        assert len(memo.nodes) <= after
-        assert set(map(id, memo)) <= set(map(id, memo.nodes))
+        assert after == len(memo.nodes) and None not in memo.values()
+        if before > bound:
+            # the values and the table were emptied with the nodes
+            fresh_starts += 1
+            assert set(map(id, memo)) <= _reachable(Q)
+            assert len(memo.parts) <= most_parts
     assert fresh_starts > 1
+
+
+def test_a_pass_stays_within_the_dag_bound():
+    # criterion 6's words and 100 length-4 words, as in one pass of the
+    # integrate-verify benchmark, never make the dag start afresh
+    rng = random.Random(6)
+    cases = _sweep() + [(tuple(rng.randint(-2, 2) for _ in range(4)),
+                         rng.randint(-3, 3)) for _ in range(100)]
+    memo = algorithms._int_cache
+    memo.clear()
+    size = 0
+    for word, b in cases:
+        _, ok = verify_integration(word, b)
+        assert ok, (word, b)
+        assert size <= len(memo) <= algorithms.INT_DAG_SIZE
+        size = len(memo)
+    assert size > 2000
 
 
 def test_printed_answers_stay_the_same():

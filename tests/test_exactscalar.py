@@ -281,6 +281,21 @@ def test_several_variables_equal_values_have_equal_parts():
                 assert (x == y) == same_value(x, y)
 
 
+def test_a_rational_scalar_hashes_as_the_number_it_equals():
+    # Python's rule: objects that compare equal hash equal, so a set or
+    # dict that mixes scalars with numbers holds one key per value
+    for nv in (1, 2):
+        for x in (3, 0, -7, Fraction(1, 2), Fraction(-5, 3)):
+            s = scalar(x, nv)
+            assert s == x == Fraction(x) and hash(s) == hash(Fraction(x))
+            assert len({s, x, Fraction(x)}) == 1
+    assert {Fraction(1, 2): "half"}[scalar("1/2")] == "half"
+    assert {scalar("1/2", 2): "half"}[Fraction(1, 2)] == "half"
+    # a scalar that is not rational keeps its structural hash
+    q = ExactScalar.q_power(1)
+    assert hash(q) == hash((q.c, q.num, q.den))
+
+
 def test_dividing_by_a_factor_in_several_variables_is_refused():
     q1, q2 = ExactScalar.q_power(1, 2, 0), ExactScalar.q_power(1, 2, 1)
     for bad in (q1 + q2, (q1 - 1) * (q1 * q2 + 1), q1 * q2 - 1):

@@ -117,3 +117,63 @@ def test_every_defined_name_is_read():
              if not (node.name.startswith("__") and node.name.endswith("__"))
              and node.name not in (as_method if method else as_name)]
     assert found == []
+
+
+def test_no_global_statements_in_the_package():
+    found = [f"{p.name}:{node.lineno}"
+             for p in sorted((SRC / "qdops").glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []
+
+
+# a small mixed workload in a fresh interpreter; it prints the module-level
+# objects with a length and the functools.cache tables that grew
+_GROWTH = """
+import importlib, pkgutil, qdops
+mods = [importlib.import_module("qdops." + m.name)
+        for m in pkgutil.iter_modules(qdops.__path__)]
+
+def sizes():
+    out = {}
+    for mod in mods:
+        for name, obj in vars(mod).items():
+            key = mod.__name__ + "." + name
+            if hasattr(obj, "cache_info"):
+                out[key + " (functools.cache)"] = obj.cache_info().currsize
+            else:
+                try:
+                    out[key] = len(obj)
+                except TypeError:
+                    pass
+    return out
+
+from qdops.algorithms import verify_integration
+from qdops.opexpr import parse
+from qdops.qgroup import act_on_plane, eta
+from qdops.rings import PlaneElement
+from qdops.shapes import shape_normalize
+before = sizes()
+assert verify_integration((1, -2, 2), 1)[1]
+shape_normalize(parse("D[1]*x*s[2]*D[-1]*x"))
+eta("E*F - F*E")
+act_on_plane("E*F", PlaneElement.monomial(1, 2))
+after = sizes()
+print("\\n".join(sorted(k for k in after if after[k] > before.get(k, 0))))
+"""
+
+
+def test_only_the_known_caches_grow():
+    # a new cache must be named here, so that the engine's growing state
+    # stays in view
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _GROWTH], capture_output=True,
+                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "qdops.algorithms._int_cache",
+        "qdops.qgroup._alpha_letters (functools.cache)",
+        "qdops.qgroup._gamma_letters (functools.cache)",
+        "qdops.qgroup._plane_letters (functools.cache)",
+        "qdops.shapes._push_cache",
+    ]
