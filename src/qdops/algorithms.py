@@ -45,8 +45,8 @@ INT_DAG_SIZE = 5120
 class _IntDag(dict):
     """The nodes `integrate` built, words and pieces, each mapped to its
     value on POLY_X (None until `verify_integration` evaluates it): the
-    `known` memo of `opexpr._fold`, which keeps values of these nodes
-    only.  `nodes` finds a word's node under (word, b) and a piece's under
+    `known` memo of `opexpr._fold`, whose `keep` stores values of these
+    nodes only.  `nodes` finds a word's node under (word, b) and a piece's under
     (t, b, a).  A value is worth keeping while its node can be reached
     again, so nodes, values and the parts table live and are cleared
     together.  The antiderivative of a word is a sum of pieces, each
