@@ -34,12 +34,11 @@ from .shapes import ShapeForm, shape_normalize
 
 # the most nodes integrate keeps: a top-level call that finds more starts
 # the dag, its values and their parts afresh.  A node with its value takes
-# about 2.3 kB, so the bound holds the whole state under 12 MB.  One
-# integrate-verify pass builds up to 2,574 nodes and each further pass with
-# new length-4 words about 400 more (5,097 after 8), so repeated passes stay
-# in one dag; a bound they reached soon would make every other pass
-# evaluate afresh.  Criterion 6 builds 2,586 nodes
-INT_DAG_SIZE = 5120
+# about 2.2 kB, so the bound holds the whole state under 7 MB, no more
+# values than the 3072 the memo held when it had a bound of its own.  One
+# integrate-verify pass builds 2,557-2,587 nodes, criterion 6 2,586 and a
+# whole tier-1 test session 2,823, so none of them starts afresh
+INT_DAG_SIZE = 3072
 
 
 class _IntDag(dict):
