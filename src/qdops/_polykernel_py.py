@@ -7,9 +7,11 @@ under the exact scalar type, re-exported by `qdops.kernel`.
 `pgcd` answers the common small cases without a remainder sequence: with a
 nonzero constant operand the gcd is the gcd of the two contents, and with
 a monomial operand c*q^k it is q^min(k, val b) times that content gcd
-(val b being the q-valuation of the other operand).  About two thirds of
-the gcds the scalar field asks for on criterion-6 traffic are of this
-kind, and about three fifths of all of them are 1.
+(val b being the q-valuation of the other operand).  On one
+integrate-verify pass (1,192 criterion-6 cases) about two fifths of the
+gcds the scalar field asks for are of this kind, mostly from sums, since
+a product by c*q^k takes no gcd at all, and about half of all of them
+are 1.
 
 `pmul` and the q-powers of `exactscalar` raise BudgetExceeded rather than
 build a polynomial of degree above MAX_DEGREE, so an input such as

@@ -7,7 +7,7 @@ to 1 by left multiplications, brackets and a final scale.
 
 from __future__ import annotations
 
-from .errors import CompatibilityViolation, EngineError, ZeroOperator
+from .errors import CompatibilityViolation, EngineError, ParseError, ZeroOperator
 from .exactscalar import ExactScalar
 from .opexpr import (
     EAdd,
@@ -36,21 +36,25 @@ from .shapes import ShapeForm, shape_normalize
 # the dag, its values and their parts afresh.  A node with its value takes
 # about 2.2 kB, so the bound holds the whole state under 7 MB, no more
 # values than the 3072 the memo held when it had a bound of its own.  One
-# integrate-verify pass builds 2,557-2,587 nodes, criterion 6 2,586 and a
-# whole tier-1 test session 2,823, so none of them starts afresh
+# integrate-verify pass builds 2,804-2,833 nodes, right sides included,
+# criterion 6 2,831 and a whole tier-1 test session at most 2,918, so none
+# of them starts afresh
 INT_DAG_SIZE = 3072
 
 
 class _IntDag(dict):
-    """The nodes `integrate` built, words and pieces, each mapped to its
-    value on POLY_X (None until `verify_integration` evaluates it): the
-    `known` memo of `opexpr._fold`, whose `keep` stores values of these
-    nodes only.  `nodes` finds a word's node under (word, b) and a piece's under
-    (t, b, a).  A value is worth keeping while its node can be reached
-    again, so nodes, values and the parts table live and are cleared
-    together.  The antiderivative of a word is a sum of pieces, each
-    built from that of a shorter word and shared by the word's rotations,
-    so verifying it reuses their values.
+    """The nodes `integrate` and `problem_expr` built, words, pieces and
+    right sides, each mapped to its value on POLY_X (None until
+    `verify_integration` evaluates it): the `known` memo of
+    `opexpr._fold`, whose `keep` stores values of these nodes only.
+    `nodes` finds a word's node under (word, b), a piece's under
+    (t, b, a) and the product D[a_n]...D[a_1] of a word under (word,).
+    A value is worth keeping while its node can be reached again, so
+    nodes, values and the parts table live and are cleared together.
+    The antiderivative of a word is a sum of pieces, each built from that
+    of a shorter word and shared by the word's rotations, and the product
+    of a word is built from that of word[1:] and shared by its twists, so
+    verifying a word reuses their values.
 
     A pass holds tens of thousands of scalars, polynomials and symbol
     keys in its values but few distinct ones (3,896 polynomials and 55
@@ -130,7 +134,17 @@ def integrate(word, b=0):
         # only here, between top-level calls: the words and pieces one
         # call builds keep sharing their pieces
         _int_cache.clear()
-    return _integrate(tuple(int(a) for a in word), int(b))
+    return _integrate(*_letters(word, b))
+
+
+def _letters(word, b):
+    """The word and the twist as integers (ParseError if one is not)."""
+    try:
+        return tuple(int(a) for a in word), int(b)
+    except (TypeError, ValueError):
+        raise ParseError(
+            0, f"expected a word of integers and an integer twist, "
+               f"got {word!r} and {b!r}") from None
 
 
 def _integrate(word, b):
@@ -180,14 +194,24 @@ def _integrate(word, b):
 
 
 def problem_expr(word, b):
-    """The right side D[a_n]*...*D[a_1]*s[b] as an expression."""
-    word = tuple(int(a) for a in word)
+    """The right side D[a_n]*...*D[a_1]*s[b] as an expression.
+
+    The product of a word is built from that of word[1:] and added to
+    `_int_cache` under the key (word,), so the twists of a word and the
+    longer words that end in it share it, and verification keeps its
+    value like a node of `integrate`'s.  It is built from the generators
+    alone, never from a node of the solver."""
+    word, b = _letters(word, b)
     e = None
-    for a in reversed(word):
-        f = EGen("D", a)
-        e = f if e is None else EMul(e, f)
+    for i in range(len(word) - 1, -1, -1):
+        key = (word[i:],)
+        hit = _int_cache.nodes.get(key)
+        if hit is None:
+            f = EGen("D", word[i])
+            hit = _int_cache.add(key, f if e is None else EMul(e, f))
+        e = hit
     if b or e is None:
-        f = EGen("s", int(b))
+        f = EGen("s", b)
         e = f if e is None else EMul(e, f)
     return e
 
@@ -197,7 +221,7 @@ def verify_integration(word, b, Q=None):
     if Q is None:
         Q = integrate(word, b)
     lhs = evaluate(EBracket(Q, EGen("x")), POLY_X, _int_cache)
-    rhs = evaluate(problem_expr(word, b))
+    rhs = evaluate(problem_expr(word, b), POLY_X, _int_cache)
     return Q, equals(lhs, rhs)
 
 
@@ -254,11 +278,7 @@ def replay(witness, start):
 def _as_scalar_op(g):
     """c when g is c times the identity, else None."""
     if len(g.parts) == 1 and (0,) in g.parts:
-        sym = g.parts[(0,)]
-        if len(sym.coeffs) == 1:
-            ((iv, jv), c), = sym.coeffs.items()
-            if not any(iv) and not any(jv):
-                return c
+        return g.parts[(0,)].as_constant()
     return None
 
 

@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 
 from . import kernel
-from .errors import DivisionByZero, DomainMismatch, NotIntegralAtOne
+from .errors import DivisionByZero, DomainMismatch, NotIntegralAtOne, ParseError
 
 _ONE = (1,)
 
@@ -140,6 +140,35 @@ def binary_power(x, k):
         if not k:
             return out
         x = x * x
+
+
+def _q_exponent(s):
+    """k when the one-variable scalar s is c*q^k, else None.  In lowest
+    terms one of num and den is then (1,) and the other q^|k|."""
+    num, den = s.num, s.den
+    if len(den) == 1:
+        return None if any(num[:-1]) else len(num) - 1
+    if len(num) == 1 and not any(den[:-1]):
+        return 1 - len(den)
+    return None
+
+
+def _times_q_power(c, k, num, den):
+    """The scalar c * q^k * num/den for num/den in lowest terms, with no
+    gcd and no product.  A common factor of q^|k| and the side it is
+    divided into (den when k > 0, num when k < 0) is a power of q, at most
+    q^v with v that side's q-valuation: q^min(|k|, v) is struck off that
+    side by dropping leading zeros, and the rest of q^|k| prepends zeros
+    to the other.  Shifting keeps a part primitive with its lead positive,
+    a factor q is left on one side only when the other has none, and the
+    old parts were coprime, so the result is canonical as it stands."""
+    if k > 0:
+        m = min(k, _order(den))
+        num, den = (0,) * (k - m) + num, den[m:]
+    else:
+        m = min(-k, _order(num))
+        num, den = num[m:], (0,) * (-k - m) + den
+    return ExactScalar._canonical(1, c, num, den)
 
 
 class ExactScalar:
@@ -325,6 +354,12 @@ class ExactScalar:
             return ExactScalar._canonical(self.nvars, self.c * o.c,
                                           o.num, o.den)
         if self.nvars == 1:
+            k = _q_exponent(o)
+            if k is not None:
+                return _times_q_power(self.c * o.c, k, self.num, self.den)
+            k = _q_exponent(self)
+            if k is not None:
+                return _times_q_power(self.c * o.c, k, o.num, o.den)
             # cross-cancel: the four parts are then pairwise coprime,
             # primitive and lead positive, so (Gauss's lemma) their
             # products are in lowest terms and canonical as they stand
@@ -460,7 +495,13 @@ Q = ExactScalar.q_power(1)
 def scalar(x, nvars=1):
     if isinstance(x, ExactScalar):
         return x
-    return ExactScalar.from_fraction(Fraction(x), nvars)
+    try:
+        f = Fraction(x)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {x!r}") from None
+    except ValueError:
+        raise ParseError(0, f"not a rational number: {x!r}") from None
+    return ExactScalar.from_fraction(f, nvars)
 
 
 def q_number(m, kind="gauss"):
@@ -561,6 +602,9 @@ class TruncatedScalar:
         return self.level == other.level and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its Fraction and int, so hashes as they do
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.level, self.coeffs))
 
     def __repr__(self):

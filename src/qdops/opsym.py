@@ -86,9 +86,23 @@ class Symbol(TermMap):
         """c * u^i * m^j in one variable."""
         return Symbol(1, {((i,), (j,)): scalar(c)})
 
+    def as_constant(self):
+        """c when this symbol is the constant c, else None."""
+        if len(self.coeffs) == 1:
+            ((iv, jv), c), = self.coeffs.items()
+            if not any(iv) and not any(jv):
+                return c
+        return None
+
     def __mul__(self, other):
         if isinstance(other, (int, ExactScalar)):
             return self.scale(scalar(other, self.nvars))
+        # a constant factor c scales the other's terms and keeps their
+        # order, as the generic product does
+        for a, b in ((self, other), (other, self)):
+            c = b.as_constant()
+            if c is not None:
+                return a if c.is_one() else a.scale(c)
         return Symbol(self.nvars, (
             ((tuple(a + b for a, b in zip(i1, i2)),
               tuple(a + b for a, b in zip(j1, j2))), c1 * c2)
@@ -100,6 +114,8 @@ class Symbol(TermMap):
         `at` = v, coordinate v is then read at m_v = 0: the result is free
         of u_v and m_v, and its value at m is this symbol's value at m + e
         with entry v set to e_v."""
+        if at is None and not any(e):
+            return self
         n = self.nvars
 
         def terms():

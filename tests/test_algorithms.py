@@ -16,7 +16,7 @@ from qdops import algorithms
 from qdops.algorithms import (integrate, verify_integration, problem_expr,
                               simplicity_witness, replay, integrate_nd)
 from qdops.cli import main
-from qdops.errors import ZeroOperator, CompatibilityViolation
+from qdops.errors import ZeroOperator, CompatibilityViolation, ParseError
 from qdops.suites import _rand_nd_op
 
 qp = ExactScalar.q_power
@@ -179,6 +179,49 @@ def test_each_node_value_is_computed_once_over_a_sweep(monkeypatch):
     assert len(kept) == len(memo)
 
 
+def test_each_right_side_is_evaluated_once_over_a_sweep(monkeypatch):
+    # the product D[a_n]...D[a_1] of a word is one node under (word,),
+    # shared by its twists and by the longer words ending in it, built
+    # from generators alone and evaluated once
+    memo = algorithms._int_cache
+    memo.clear()
+    kept = collections.Counter()
+    keep = memo.keep
+
+    def counting_keep(e, value):
+        if e in memo:
+            kept[id(e)] += 1
+        keep(e, value)
+
+    monkeypatch.setattr(memo, "keep", counting_keep)
+    cases = _memo_cases()
+    for word, b in cases:
+        _, ok = verify_integration(word, b)
+        assert ok, (word, b)
+    sides = {key[0]: node for key, node in memo.nodes.items() if len(key) == 1}
+    assert set(sides) == {w[i:] for w, _ in cases for i in range(len(w))}
+    solver = set().union(*(_reachable(node) for key, node in memo.nodes.items()
+                           if len(key) != 1))
+    for word, node in sides.items():
+        assert kept[id(node)] == 1, word
+        assert problem_expr(word, 0) is node
+        assert all(problem_expr(word, b).a is node for b in (-3, 2))
+        if len(word) > 1:
+            assert node.a is sides[word[1:]]
+        assert not _reachable(node) & solver
+        fresh = evaluate(problem_expr(word, 0))
+        assert equals(memo[node], fresh)
+        text = "*".join(f"D[{a}]" for a in reversed(word))
+        assert equals(fresh, evaluate(parse(text)))
+
+
+def test_bad_words_raise_typed_errors():
+    for call in (lambda: integrate(["a"]), lambda: verify_integration(["a"], 0),
+                 lambda: integrate([1], "b"), lambda: problem_expr([None], 0)):
+        with pytest.raises(ParseError):
+            call()
+
+
 def test_kept_values_share_their_parts():
     memo = algorithms._int_cache
     memo.clear()
@@ -238,9 +281,11 @@ def test_dag_bound_starts_afresh_between_calls(monkeypatch):
         assert after <= bound + largest
         assert after == len(memo.nodes) and None not in memo.values()
         if before > bound:
-            # the values and the table were emptied with the nodes
+            # the values and the table were emptied with the nodes: what
+            # is kept belongs to this call's answer and right side
             fresh_starts += 1
-            assert set(map(id, memo)) <= _reachable(Q)
+            assert set(map(id, memo)) <= (_reachable(Q)
+                                          | _reachable(problem_expr(w, b)))
             assert len(memo.parts) <= most_parts
     assert fresh_starts > 1
 

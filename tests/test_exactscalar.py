@@ -11,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 from qdops import exactscalar
 from qdops.exactscalar import (ExactScalar, scalar, q_number, q_factorial,
                                TruncatedScalar)
-from qdops.errors import DivisionByZero, DomainMismatch, NotIntegralAtOne
+from qdops.errors import (DivisionByZero, DomainMismatch, EngineError,
+                          NotIntegralAtOne, ParseError)
+from qdops.opsym import GradedOperator, Symbol
+from qdops.rings import POLY_X
 from qdops.kernel import padd, pgcd, pmul, pmul_int
 
 q = sympy.Symbol("q")
@@ -294,6 +297,80 @@ def test_a_rational_scalar_hashes_as_the_number_it_equals():
     # a scalar that is not rational keeps its structural hash
     q = ExactScalar.q_power(1)
     assert hash(q) == hash((q.c, q.num, q.den))
+
+
+def test_equal_values_hash_equal():
+    # Python's rule for every value class that compares equal to a number
+    # (scalars in one and two variables, truncated scalars at every
+    # level): a == b implies hash(a) == hash(b).  Symbols and operators
+    # never equal a number; they stand in the pool to keep it so.
+    rng = random.Random(20)
+    nums = [0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 3)]
+    pool = nums + [Fraction(x) for x in nums]
+    pool += [scalar(x, nv) for x in nums for nv in (1, 2)]
+    pool += [TruncatedScalar.from_fraction(x, n) for x in nums for n in (1, 2, 4)]
+    pool += [rand_scalar(rng) for _ in range(20)]
+    pool += [ExactScalar.q_power(1), ExactScalar.q_power(-1, 2, 1),
+             TruncatedScalar(2, (3, 1)), TruncatedScalar(3, (0, 0, Fraction(1, 2))),
+             (1 + ExactScalar.q_power(1)).truncate(3)]
+    pool += [Symbol.constant(3), GradedOperator.identity(POLY_X) * 3]
+    across = 0
+    for a in pool:
+        for b in pool:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                across += type(a) is not type(b)
+    assert across > 50
+    t = TruncatedScalar.from_fraction(3, 2)
+    assert len({t, 3, Fraction(3)}) == 1
+
+
+def test_bad_scalar_text_raises_typed_errors():
+    with pytest.raises(DivisionByZero):
+        scalar("1/0")
+    with pytest.raises(ParseError):
+        scalar("a")
+    assert issubclass(ParseError, EngineError)
+
+
+def _with_q_factors(rng):
+    """A scalar whose num and den may carry powers of q."""
+    while True:
+        num, den = ([0] * rng.randint(0, 3)
+                    + [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+                    for _ in range(2))
+        if any(num) and any(den):
+            c = Fraction(rng.randint(1, 6) * rng.choice((-1, 1)), rng.randint(1, 4))
+            return ExactScalar(1, c, num, den)
+
+
+def test_products_by_c_q_power_match_the_normalizing_constructor(monkeypatch):
+    # c*q^k times x only shifts x's parts: the result has the parts, the
+    # Fraction and the hash the normalizing constructor gives, and no
+    # kernel gcd, division or product runs
+    rng = random.Random(21)
+    cases = []
+    for _ in range(300):
+        k = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        m = ExactScalar.q_power(k) * Fraction(rng.choice((-5, -1, 1, 2, 7)),
+                                              rng.randint(1, 3))
+        x = _with_q_factors(rng) if rng.random() < 0.8 else (
+            ExactScalar.q_power(rng.randint(-3, 3)) * 3)
+        want = ExactScalar(1, m.c * x.c, pmul(m.num, x.num), pmul(m.den, x.den))
+        cases.append((m, x, want))
+    assert sum(x.den[0] == 0 for _, x, _ in cases) > 30
+
+    def refuse(*args):
+        raise AssertionError("kernel call on the c*q^k path")
+
+    for name in ("pgcd", "pmul", "pdiv_exact"):
+        monkeypatch.setattr(exactscalar.kernel, name, refuse)
+    for m, x, want in cases:
+        for got in (m * x, x * m):
+            assert (got.c, got.num, got.den) == (want.c, want.num, want.den)
+            assert type(got.c) is Fraction
+            assert type(got.num) is tuple and type(got.den) is tuple
+            assert got == want and hash(got) == hash(want)
 
 
 def test_dividing_by_a_factor_in_several_variables_is_refused():

@@ -5,6 +5,7 @@ which is the definition the rest of the package leans on.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +145,33 @@ def test_subst_shift_at_a_coordinate_reads_it_at_its_shift(case):
     assert all(iv[v] == 0 and jv[v] == 0 for iv, jv in out.coeffs)
     at = tuple(e[w] if w == v else m[w] + e[w] for w in range(sym.nvars))
     assert out.eval_at(m) == sym.eval_at(at)
+
+
+def _generic_product(a, b):
+    """a * b term by term, as the general rule of `Symbol.__mul__` writes it."""
+    return Symbol(a.nvars, (
+        ((tuple(x + y for x, y in zip(i1, i2)),
+          tuple(x + y for x, y in zip(j1, j2))), c1 * c2)
+        for (i1, j1), c1 in a.coeffs.items()
+        for (i2, j2), c2 in b.coeffs.items()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_shifted_symbols(), st.integers(0, 3))
+def test_constant_symbol_products_match_the_generic_product(case, kind):
+    # a constant factor on either side gives the generic product's terms
+    # in the generic product's key order; the constant 1 gives the other
+    # operand itself, and so does a shift by zero
+    sym = case[0]
+    n = sym.nvars
+    c = [1, -1, Fraction(3, 2), qp(2, n, n - 1) * Fraction(-1, 3)][kind]
+    const = Symbol.constant(c, n)
+    for got, want in ((sym * const, _generic_product(sym, const)),
+                      (const * sym, _generic_product(const, sym))):
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        if kind == 0 and len(sym.coeffs) > 1:
+            assert got is sym
+    assert sym.subst_shift((0,) * n) is sym
 
 
 # -- brackets ---------------------------------------------------------------
