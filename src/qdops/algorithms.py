@@ -7,7 +7,8 @@ to 1 by left multiplications, brackets and a final scale.
 
 from __future__ import annotations
 
-from .errors import CompatibilityViolation, EngineError, ParseError, ZeroOperator
+from .errors import (CompatibilityViolation, EngineError, ParseError,
+                     ZeroOperator)
 from .exactscalar import ExactScalar
 from .opexpr import (
     EAdd,

@@ -17,8 +17,8 @@ every arity, and equality, hashing and inversion are structural.
 In one variable, products and sums build their result in canonical form
 without the normalizing constructor.  A product cross-cancels N1 against
 D2 and N2 against D1, and a product by c*q^k only shifts the other
-factor's parts (`_times_q_power`).  A sum follows Henrici's rule (Knuth, TAOCP 2,
-4.5.1): with g = gcd(D1, D2) and D_i = g*d_i the sum is
+factor's parts (`_times_q_power`).  A sum follows Henrici's rule (Knuth,
+TAOCP 2, 4.5.1): with g = gcd(D1, D2) and D_i = g*d_i the sum is
 (a*N1*d2 + b*N2*d1) / (d1*D2).  Its numerator is coprime to d1*d2, since
 N_i is coprime to D_i and d1 to d2, so only h = gcd(num, g) can cancel.
 Every gcd is then taken against a factor of D1 or D2, never against the
@@ -37,7 +37,8 @@ import math
 from fractions import Fraction
 
 from . import kernel
-from .errors import DivisionByZero, DomainMismatch, NotIntegralAtOne, ParseError
+from .errors import (DivisionByZero, DomainMismatch, NotIntegralAtOne,
+                     ParseError)
 
 _ONE = (1,)
 
